@@ -401,14 +401,15 @@ def train_sem(
         new_first = []
         for p in range(P):
             try:
-                m = refit_gp(X, state.w[:, p], state.first_hyper[p], config.refit_max_iter)
+                m = refit_gp(X, state.w[:, p], state.first_hyper[p], config.refit_max_iter,
+                             config.fit)
             except Exception as exc:
                 raise SEMError(
                     f"refit failed at iteration {it} for node {latent_names[p]!r}: {exc}"
                 ) from exc
             new_first.append(m.hyper)
         try:
-            m2 = refit_gp(state.w, y, state.second_hyper, config.refit_max_iter)
+            m2 = refit_gp(state.w, y, state.second_hyper, config.refit_max_iter, config.fit)
         except Exception as exc:
             raise SEMError(
                 f"refit failed at iteration {it} for node {arch.output_node.name!r}: {exc}"

@@ -8,7 +8,14 @@ and R the correlation matrix with nugget:
 
 The scale sigma^2 is profiled out of the marginal likelihood analytically
 (sigma_hat^2 = y^T R^-1 y / N); lengthscales and nugget are optimized in log
-space with deterministic multi-start.
+space with deterministic multi-start. With q = y^T R^-1 y, alpha = R^-1 y and
+theta any log hyperparameter, the profiled negative log likelihood and its
+gradient are
+
+    nll              = N/2 log(q / N) + 1/2 log det R
+    d nll / d theta  = 1/2 tr(W dR/dtheta),   W = R^-1 - (N / q) alpha alpha^T
+
+so every gradient entry is an elementwise sum over W and dR/dtheta.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .kernels import (
     CorrelationMatrix,
     KernelFamily,
     KernelSpec,
+    _cholesky_with_jitter,
     build_correlation,
     cross_correlation,
 )
@@ -160,12 +168,16 @@ class _PreparedSEObjective:
         self.eye = np.eye(self.n)
 
     def __call__(self, theta: np.ndarray):
-        ls2 = np.exp(2.0 * theta[:-1])
+        # Everything over N^2 elements is elementwise: OpenBLAS threads even
+        # small products (a D-term tensordot, D + 1 gemv calls), and that cost
+        # the N = 115 SEM refits about 4x on two cores.
+        inv_ls2 = np.exp(-2.0 * theta[:-1])
         nugget = np.exp(theta[-1])
-        K = np.exp(-np.tensordot(1.0 / ls2, self.d2, axes=1))
+        scaled = self.d2 * inv_ls2[:, None, None]
+        K = np.exp(-np.sum(scaled, axis=0))
         R = K + nugget * self.same
         try:
-            L, jitter = _cholesky_with_jitter_fast(R, self.eye)
+            L, _ = _cholesky_with_jitter(R)
         except np.linalg.LinAlgError:
             return np.inf, np.zeros_like(theta)
         alpha = cho_solve((L, True), self.y, check_finite=False)
@@ -174,28 +186,11 @@ class _PreparedSEObjective:
             return np.inf, np.zeros_like(theta)
         nll = 0.5 * self.n * np.log(quad / self.n) + float(np.sum(np.log(np.diag(L))))
         Rinv = cho_solve((L, True), self.eye, check_finite=False)
+        W = Rinv - (self.n / quad) * np.outer(alpha, alpha)
         grad = np.empty_like(theta)
-        for k in range(self.d):
-            dR = K * (2.0 * self.d2[k] / ls2[k])
-            grad[k] = 0.5 * (
-                -self.n * float(alpha @ dR @ alpha) / quad + float(np.sum(Rinv * dR))
-            )
-        dRn = nugget * self.same
-        grad[-1] = 0.5 * (
-            -self.n * float(alpha @ dRn @ alpha) / quad + float(np.sum(Rinv * dRn))
-        )
+        grad[:-1] = np.sum((W * K) * scaled, axis=(1, 2))
+        grad[-1] = 0.5 * nugget * float(np.sum(W[self.same]))
         return nll, grad
-
-
-def _cholesky_with_jitter_fast(R: np.ndarray, eye: np.ndarray):
-    jitter = 0.0
-    while True:
-        try:
-            return np.linalg.cholesky(R if jitter == 0.0 else R + jitter * eye), jitter
-        except np.linalg.LinAlgError:
-            jitter = 1e-10 if jitter == 0.0 else jitter * 10.0
-            if jitter > 1e-4:
-                raise
 
 
 def _minimize_nll(X, y, theta0, bounds, family: KernelFamily, max_iter: int):
@@ -205,6 +200,30 @@ def _minimize_nll(X, y, theta0, bounds, family: KernelFamily, max_iter: int):
                         options={"maxiter": max_iter})
     return minimize(_profiled_nll, theta0, args=(X, y, family), method="L-BFGS-B",
                     bounds=bounds, options={"maxiter": max_iter})
+
+
+def _log_bounds(X: np.ndarray, config: FitConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper L-BFGS-B bounds on theta = log lengthscales + [log nugget].
+
+    Lengthscale bounds are ``config.lengthscale_range`` times each input
+    dimension's range (1 where a dimension is constant).
+    """
+    ranges = np.ptp(X, axis=0)
+    ranges = np.where(ranges > 0, ranges, 1.0)
+    lo = np.append(np.log(config.lengthscale_range[0] * ranges), np.log(config.nugget_bounds[0]))
+    hi = np.append(np.log(config.lengthscale_range[1] * ranges), np.log(config.nugget_bounds[1]))
+    return lo, hi
+
+
+def _fitted_at(training: TrainingSet, theta: np.ndarray, family: KernelFamily) -> FittedGP:
+    """FittedGP at log hyperparameters theta, with the scale sigma^2 profiled out."""
+    spec = KernelSpec(family, np.exp(theta[:-1]))
+    nugget = float(np.exp(theta[-1]))
+    corr = build_correlation(spec, nugget, training.X)
+    alpha = corr.solve(training.y)
+    scale = float(training.y @ alpha) / training.n
+    hyper = GPHyperparams(kernel=spec, scale=scale, nugget=nugget)
+    return FittedGP(training=training, hyper=hyper, corr=corr, alpha=alpha)
 
 
 def fit_gp(X, y, config: FitConfig = FitConfig()) -> FittedGP:
@@ -220,64 +239,39 @@ def fit_gp(X, y, config: FitConfig = FitConfig()) -> FittedGP:
         raise DegenerateDataError("all outputs identical; cannot fit a GP scale")
 
     X_, y_ = training.X, training.y
-    ranges = np.ptp(X_, axis=0)
-    ranges = np.where(ranges > 0, ranges, 1.0)
-    lo = np.log(config.lengthscale_range[0] * ranges)
-    hi = np.log(config.lengthscale_range[1] * ranges)
-    nlo, nhi = np.log(config.nugget_bounds[0]), np.log(config.nugget_bounds[1])
-    bounds = [(a, b) for a, b in zip(lo, hi)] + [(nlo, nhi)]
+    lo, hi = _log_bounds(X_, config)
 
     rng = np.random.default_rng(config.seed)
     starts = []
     for _ in range(max(1, config.n_starts)):
         t = np.concatenate(
-            [rng.uniform(lo, hi), [rng.uniform(nlo, max(nlo, np.log(1e-1)))]]
+            [rng.uniform(lo[:-1], hi[:-1]), [rng.uniform(lo[-1], max(lo[-1], np.log(1e-1)))]]
         )
         starts.append(t)
 
     best = None
     best_val = np.inf
     for t0 in starts:
-        res = _minimize_nll(X_, y_, t0, bounds, config.family, config.max_iter)
+        res = _minimize_nll(X_, y_, t0, list(zip(lo, hi)), config.family, config.max_iter)
         if np.isfinite(res.fun) and res.fun < best_val:
             best_val = res.fun
             best = res.x
     if best is None:
         raise FitFailureError("optimizer produced no finite objective value")
 
-    ls = np.exp(best[:-1])
-    nugget = float(np.exp(best[-1]))
-    spec = KernelSpec(config.family, ls)
-    corr = build_correlation(spec, nugget, X_)
-    alpha = corr.solve(y_)
-    scale = float(y_ @ alpha) / training.n
-    hyper = GPHyperparams(kernel=spec, scale=scale, nugget=nugget)
-    return FittedGP(training=training, hyper=hyper, corr=corr, alpha=alpha)
+    return _fitted_at(training, best, config.family)
 
 
-def refit_gp(model_X, model_y, init: GPHyperparams, max_iter: int = 50) -> FittedGP:
-    """Single warm-started local refit; used inside iterative training loops."""
+def refit_gp(model_X, model_y, init: GPHyperparams, max_iter: int = 50,
+             config: FitConfig = FitConfig()) -> FittedGP:
+    """Single warm-started local refit, in :func:`fit_gp`'s search box for ``config``."""
     training = TrainingSet(model_X, model_y)
     t0 = np.concatenate([np.log(init.kernel.lengthscales), [np.log(max(init.nugget, NUGGET_FLOOR))]])
-    ranges = np.ptp(training.X, axis=0)
-    ranges = np.where(ranges > 0, ranges, 1.0)
-    lo = np.log(0.01 * ranges)
-    hi = np.log(10.0 * ranges)
-    bounds = [(a, b) for a, b in zip(lo, hi)] + [(np.log(NUGGET_FLOOR), 0.0)]
-    t0 = np.clip(t0, [b[0] for b in bounds], [b[1] for b in bounds])
-    res = _minimize_nll(training.X, training.y, t0, bounds, init.kernel.family, max_iter)
-    theta = res.x if np.isfinite(res.fun) else t0
-    spec = KernelSpec(init.kernel.family, np.exp(theta[:-1]))
-    nugget = float(np.exp(theta[-1]))
-    corr = build_correlation(spec, nugget, training.X)
-    alpha = corr.solve(training.y)
-    scale = float(training.y @ alpha) / training.n
-    return FittedGP(
-        training=training,
-        hyper=GPHyperparams(kernel=spec, scale=scale, nugget=nugget),
-        corr=corr,
-        alpha=alpha,
-    )
+    lo, hi = _log_bounds(training.X, config)
+    t0 = np.clip(t0, lo, hi)
+    res = _minimize_nll(training.X, training.y, t0, list(zip(lo, hi)), init.kernel.family,
+                        max_iter)
+    return _fitted_at(training, res.x if np.isfinite(res.fun) else t0, init.kernel.family)
 
 
 def _clamp_variance(var: np.ndarray) -> np.ndarray:

@@ -109,14 +109,14 @@ def _latent_predictions(em: LinkedEmulator, X0: np.ndarray) -> tuple[np.ndarray,
     return means, variances
 
 
-def assemble_I(em: LinkedEmulator, latent_preds: list[PredictiveGaussian], x0=None) -> np.ndarray:
+def assemble_I(em: LinkedEmulator, latent_preds: list[PredictiveGaussian]) -> np.ndarray:
     """Vector I with I_i = prod_p E[k_p(W_p, w_ip)]; entries in (0, 1]."""
     m = np.array([p.mean for p in latent_preds])
     v = np.array([p.variance for p in latent_preds])
     return expect_k(em.second_layer.hyper.kernel, m, v, em.latent_values)
 
 
-def assemble_J(em: LinkedEmulator, latent_preds: list[PredictiveGaussian], x0=None) -> np.ndarray:
+def assemble_J(em: LinkedEmulator, latent_preds: list[PredictiveGaussian]) -> np.ndarray:
     """Matrix J with J_ij = prod_p E[k_p(W_p, w_ip) k_p(W_p, w_jp)]; symmetric."""
     m = np.array([p.mean for p in latent_preds])
     v = np.array([p.variance for p in latent_preds])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,18 @@ class TestTrainSEM:
         assert np.array_equal(
             em.second_hyper.kernel.lengthscales, direct2.hyper.kernel.lengthscales
         )
+
+    def test_refits_honour_fit_config_bounds(self):
+        # first-layer refits all see the full time grid, so every traced
+        # lengthscale, and hence their average, lies in the configured box
+        table = masked_window(seed=6)
+        lo, hi = 2.0, 3.0
+        config = replace(FAST_SEM, fit=FitConfig(n_starts=2, seed=0, lengthscale_range=(lo, hi)))
+        em = train_sem(table, small_arch(), config, 0)
+        span = np.ptp(em.train_X)
+        for hyper in em.first_hyper:
+            ls = hyper.kernel.lengthscales[0]
+            assert lo * span * (1 - 1e-12) <= ls <= hi * span * (1 + 1e-12)
 
     def test_manifest_deterministic(self):
         table = masked_window(seed=6)

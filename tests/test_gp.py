@@ -6,11 +6,13 @@ from gpimpute.gp import (
     FitConfig,
     GPHyperparams,
     _PreparedSEObjective,
+    _profiled_nll,
     fit_gp,
     log_marginal_likelihood,
     make_fitted_gp,
     predict,
     predict_batch,
+    refit_gp,
 )
 from gpimpute.kernels import KernelFamily, KernelSpec, build_correlation
 
@@ -78,18 +80,40 @@ class TestFit:
         assert m1.hyper.scale == m2.hyper.scale
         assert m1.hyper.nugget == m2.hyper.nugget
 
-    def test_gradient_matches_finite_differences(self):
+    @pytest.mark.parametrize(
+        "n, d, theta",
+        [
+            (25, 2, [np.log(0.4), np.log(0.9), np.log(0.02)]),
+            # first-layer shape at the largest window length
+            (115, 1, [np.log(0.1), np.log(0.02)]),
+            # second-layer shape: three latent inputs
+            (40, 3, [np.log(0.6)] * 3 + [np.log(0.05)]),
+        ],
+        ids=["n25-d2", "n115-d1", "n40-d3"],
+    )
+    def test_gradient_matches_finite_differences(self, n, d, theta):
         rng = np.random.default_rng(4)
-        X = rng.uniform(0, 1, (25, 2))
-        y = rng.standard_normal(25)
+        X = rng.uniform(0, 1, (n, d))
+        y = rng.standard_normal(n)
         obj = _PreparedSEObjective(X, y)
-        theta = np.array([np.log(0.4), np.log(0.9), np.log(0.02)])
-        _, grad = obj(theta)
+        theta = np.array(theta)
+        value, grad = obj(theta)
+        assert value == pytest.approx(_profiled_nll(theta, X, y, SE), rel=1e-10)
         for k in range(len(theta)):
             e = np.zeros_like(theta)
             e[k] = 1e-6
             fd = (obj(theta + e)[0] - obj(theta - e)[0]) / 2e-6
             assert abs(grad[k] - fd) / max(abs(fd), 1e-12) < 1e-5
+
+    def test_refit_honours_fit_config_bounds(self):
+        # the data favour a lengthscale near 0.1 and a tiny nugget; the refit
+        # must stay inside the narrower box the config asks for
+        X = np.linspace(0, 1, 30)[:, None]
+        y = np.sin(12.0 * X[:, 0])
+        config = FitConfig(lengthscale_range=(0.5, 0.6), nugget_bounds=(1e-3, 1e-2))
+        model = refit_gp(X, y, se_hyper(0.1, 1.0, 1e-6), max_iter=50, config=config)
+        assert 0.5 * (1 - 1e-12) <= model.hyper.kernel.lengthscales[0] <= 0.6 * (1 + 1e-12)
+        assert 1e-3 * (1 - 1e-12) <= model.hyper.nugget <= 1e-2 * (1 + 1e-12)
 
 
 class TestPredict:
