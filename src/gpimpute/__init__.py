@@ -61,7 +61,6 @@ from .gp import (
 )
 from .kernels import (
     CorrelationMatrix,
-    KernelFamily,
     KernelSpec,
     build_correlation,
     expect_k,

@@ -8,7 +8,8 @@ Subcommands:
   inspect     pretty-print a saved emulator manifest
 
 The run config is a JSON object; every key is optional and CLI flags override
-it. Schema (defaults in parentheses):
+it. An unknown key or a bad value stops ``run`` before any cell runs. Schema
+(defaults in parentheses):
 
   {
     "mode": "predict-output" | "impute-covariates",
@@ -18,9 +19,10 @@ it. Schema (defaults in parentheses):
     "seed": 0,
     "whole_row_masking": false,
     "synthetic": {... SyntheticConfig fields ...},
-    "fit": {"n_starts": 5, "seed": 0, "max_iter": 200},
+    "fit": {"n_starts": 5, "seed": 0, "max_iter": 200,
+            "lengthscale_range": [0.01, 10.0], "nugget_bounds": [1e-8, 1.0]},
     "sem": {"iterations": ..., "burn_in": ..., "ess_sweeps": ...,
-            "n_imputations": ...},
+            "n_imputations": ..., "refit_max_iter": 25},
     "mice": {"n_imputations": 5, "cycles": 10}
   }
 """
@@ -28,6 +30,7 @@ it. Schema (defaults in parentheses):
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -83,6 +86,9 @@ def _build_experiment_config(args) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(ExperimentConfig)})
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     kwargs = {}
     for key in ("mode", "n_windows", "seed", "whole_row_masking"):
         if key in raw:
@@ -115,7 +121,10 @@ def _build_experiment_config(args) -> ExperimentConfig:
 
 
 def _cmd_run(args):
-    config = _build_experiment_config(args)
+    try:
+        config = _build_experiment_config(args)
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"gpimpute run: bad config: {exc}") from None
     report = run_experiment(config)
     write_report(report, args.out)
     for c in report.cells:

@@ -14,7 +14,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .kernels import KernelFamily, KernelSpec, build_correlation
+from .kernels import KernelSpec, build_correlation
 
 ROLE_OUTPUT = "output"
 ROLE_COVARIATE = "covariate"
@@ -358,7 +358,7 @@ def generate_synthetic_window(config: SyntheticConfig, rng: np.random.Generator)
     latents = np.empty((n, 3))
     for p in range(3):
         ls = rng.uniform(*config.latent_lengthscale_range)
-        spec = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, np.array([ls]))
+        spec = KernelSpec(np.array([ls]))
         corr = build_correlation(spec, 1e-8, X)
         latents[:, p] = corr.chol @ rng.standard_normal(n)
     out_clean = config.readout(latents)

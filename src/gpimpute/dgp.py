@@ -23,18 +23,13 @@ from .gp import (
     FittedGP,
     GPHyperparams,
     PredictiveGaussian,
+    _gaussian_logpdf,
     fit_gp,
     make_fitted_gp,
     predict_batch,
     refit_gp,
 )
-from .kernels import (
-    KernelFamily,
-    KernelSpec,
-    SingularMatrixError,
-    _cholesky_with_jitter,
-    build_correlation,
-)
+from .kernels import KernelSpec, SingularMatrixError, _cholesky_with_jitter, build_correlation
 from .linked import LayerArchitecture, LinkedEmulator, NodeSpec, link_predict
 
 ESS_BRACKET_MIN = 1e-12
@@ -58,9 +53,12 @@ class SEMConfig:
     burn_in: int = 300
     ess_sweeps: int = 10  # ESS sweeps per SEM iteration and between final draws
     n_imputations: int = 50
-    randomize_sweep_order: bool = False
     refit_max_iter: int = 25
     fit: FitConfig = field(default_factory=FitConfig)
+
+    def __post_init__(self):
+        if self.iterations < self.burn_in:
+            raise ValueError("iterations must be >= burn_in")
 
 
 @dataclass
@@ -199,19 +197,11 @@ class LatentState:
     def output_loglik(self, w_full: np.ndarray) -> float:
         """Zero-mean Gaussian log density of y under the second-layer GP at latents w.
 
-        Specialized SE fast path: sampled latents are almost surely distinct,
-        so the nugget lands on the diagonal only.
+        Builds R from a Gram matrix rather than :func:`build_correlation`:
+        sampled latents are almost surely distinct, so the nugget lands on the
+        diagonal only.
         """
         hyper = self.second_hyper
-        if hyper.kernel.family is not KernelFamily.SQUARED_EXPONENTIAL:
-            try:
-                corr = build_correlation(hyper.kernel, hyper.nugget, w_full)
-            except SingularMatrixError:
-                return -np.inf
-            alpha = corr.solve(self.y)
-            quad = float(self.y @ alpha) / hyper.scale
-            logdet = self.n * np.log(hyper.scale) + corr.logdet()
-            return -0.5 * (self.n * np.log(2.0 * np.pi) + logdet + quad)
         Z = w_full / hyper.kernel.lengthscales
         sq = np.einsum("ij,ij->i", Z, Z)
         d2 = sq[:, None] + sq[None, :] - 2.0 * (Z @ Z.T)
@@ -222,17 +212,11 @@ class LatentState:
             L, _ = _cholesky_with_jitter(R)
         except SingularMatrixError:
             return -np.inf
-        alpha = cho_solve((L, True), self.y, check_finite=False)
-        quad = float(self.y @ alpha) / hyper.scale
-        logdet = self.n * np.log(hyper.scale) + 2.0 * float(np.sum(np.log(np.diag(L))))
-        return -0.5 * (self.n * np.log(2.0 * np.pi) + logdet + quad)
+        return _gaussian_logpdf(self.y, L, hyper.scale)
 
-    def sweep(self, rng: np.random.Generator, randomize_order: bool = False):
+    def sweep(self, rng: np.random.Generator):
         """One ESS update of the missing entries of each latent column."""
-        order = list(range(self.n_latent))
-        if randomize_order:
-            order = list(rng.permutation(self.n_latent))
-        for p in order:
+        for p in range(self.n_latent):
             prior = self._priors[p]
             if prior is None:
                 continue
@@ -247,10 +231,10 @@ class LatentState:
 
 
 def impute_latents(state: LatentState, rng: np.random.Generator, sweeps: int = 1,
-                   draw_index: int = 0, randomize_order: bool = False) -> LayerImputation:
+                   draw_index: int = 0) -> LayerImputation:
     """Advance the sampler and snapshot the latent matrix as one imputation."""
     for _ in range(sweeps):
-        state.sweep(rng, randomize_order)
+        state.sweep(rng)
     return LayerImputation(
         values=state.w.copy(),
         fixed_mask=state.latent_mask.copy(),
@@ -276,7 +260,6 @@ class DGPSIEmulator:
     def manifest(self) -> dict:
         def hyper_entry(h: GPHyperparams) -> dict:
             return {
-                "family": h.kernel.family.value,
                 "lengthscales": h.kernel.lengthscales.tolist(),
                 "scale": h.scale,
                 "nugget": h.nugget,
@@ -299,8 +282,7 @@ def _geometric_mean_hyper(trace: list[GPHyperparams]) -> GPHyperparams:
     ls = np.exp(np.mean([np.log(h.kernel.lengthscales) for h in trace], axis=0))
     scale = float(np.exp(np.mean([np.log(h.scale) for h in trace])))
     nugget = float(np.exp(np.mean([np.log(max(h.nugget, 1e-300)) for h in trace])))
-    family = trace[0].kernel.family
-    return GPHyperparams(kernel=KernelSpec(family, ls), scale=scale, nugget=nugget)
+    return GPHyperparams(kernel=KernelSpec(ls), scale=scale, nugget=nugget)
 
 
 def _build_linked(X, y, imputation: LayerImputation, first_hyper, second_hyper) -> LinkedEmulator:
@@ -327,8 +309,6 @@ def train_sem(
     observed latents the E-step is a no-op and the result equals independent
     per-node ML fits.
     """
-    if config.iterations < config.burn_in:
-        raise ValueError("iterations must be >= burn_in")
     seed = None
     if isinstance(rng, (int, np.integer)):
         seed = int(rng)
@@ -397,7 +377,7 @@ def train_sem(
     second_trace: list[GPHyperparams] = []
     for it in range(config.iterations):
         for _ in range(config.ess_sweeps):
-            state.sweep(rng, config.randomize_sweep_order)
+            state.sweep(rng)
         new_first = []
         for p in range(P):
             try:
@@ -431,8 +411,7 @@ def train_sem(
     imputations = []
     linked = []
     for i in range(config.n_imputations):
-        imp = impute_latents(state, rng, sweeps=config.ess_sweeps, draw_index=i,
-                             randomize_order=config.randomize_sweep_order)
+        imp = impute_latents(state, rng, sweeps=config.ess_sweeps, draw_index=i)
         imputations.append(imp)
         linked.append(_build_linked(X, y, imp, final_first, final_second))
 
@@ -475,14 +454,12 @@ def save_emulator(em: DGPSIEmulator, directory: str):
     manifest["architecture"] = {
         "input_dims": em.architecture.input_dims,
         "latent_kernels": [
-            {"name": n.name, "lengthscales": n.kernel.lengthscales.tolist(),
-             "family": n.kernel.family.value}
+            {"name": n.name, "lengthscales": n.kernel.lengthscales.tolist()}
             for n in em.architecture.latent_nodes
         ],
         "output_kernel": {
             "name": em.architecture.output_node.name,
             "lengthscales": em.architecture.output_node.kernel.lengthscales.tolist(),
-            "family": em.architecture.output_node.kernel.family.value,
         },
     }
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
@@ -501,32 +478,33 @@ def save_emulator(em: DGPSIEmulator, directory: str):
             fh.write(f"{r[0]},{r[1]},{r[2]},{r[3]!r},{r[4]}\n")
 
 
+def _saved_kernel(entry: dict) -> KernelSpec:
+    """SE kernel of one manifest entry. Older manifests name a kernel family;
+    any family but the squared exponential is refused rather than read as SE."""
+    family = entry.get("family", "squared_exponential")
+    if family != "squared_exponential":
+        raise ValueError(f"saved kernel family {family!r} is not supported; "
+                         "only the squared exponential kernel is")
+    return KernelSpec(np.array(entry["lengthscales"]))
+
+
 def load_emulator(directory: str) -> DGPSIEmulator:
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
     arch_info = manifest["architecture"]
-    latent_nodes = tuple(
-        NodeSpec(e["name"], KernelSpec(KernelFamily(e["family"]), np.array(e["lengthscales"])))
-        for e in arch_info["latent_kernels"]
-    )
+    latent_nodes = tuple(NodeSpec(e["name"], _saved_kernel(e)) for e in arch_info["latent_kernels"])
     ok = arch_info["output_kernel"]
     arch = LayerArchitecture(
         input_dims=arch_info["input_dims"],
         latent_nodes=latent_nodes,
-        output_node=NodeSpec(ok["name"], KernelSpec(KernelFamily(ok["family"]), np.array(ok["lengthscales"]))),
+        output_node=NodeSpec(ok["name"], _saved_kernel(ok)),
     )
     first_hyper = [
-        GPHyperparams(
-            kernel=KernelSpec(KernelFamily(e["family"]), np.array(e["lengthscales"])),
-            scale=e["scale"], nugget=e["nugget"],
-        )
+        GPHyperparams(kernel=_saved_kernel(e), scale=e["scale"], nugget=e["nugget"])
         for e in manifest["first_layer"]
     ]
     e2 = manifest["second_layer"]
-    second_hyper = GPHyperparams(
-        kernel=KernelSpec(KernelFamily(e2["family"]), np.array(e2["lengthscales"])),
-        scale=e2["scale"], nugget=e2["nugget"],
-    )
+    second_hyper = GPHyperparams(kernel=_saved_kernel(e2), scale=e2["scale"], nugget=e2["nugget"])
     X = np.loadtxt(os.path.join(directory, "training_inputs.csv"), delimiter=",", ndmin=2)
     y = np.loadtxt(os.path.join(directory, "training_outputs.csv"), delimiter=",").ravel()
     n = X.shape[0]

@@ -42,7 +42,7 @@ from .data import (
 )
 from .dgp import SEMConfig, impute_covariates, predict_ensemble, train_sem
 from .gp import FitConfig
-from .kernels import KernelFamily, KernelSpec
+from .kernels import KernelSpec
 from .linked import LayerArchitecture, NodeSpec, fit_sequential_lgp, link_predict_batch
 
 MODE_PREDICT_OUTPUT = "predict-output"
@@ -163,13 +163,8 @@ def evaluate_mae_original(
 
 def default_architecture(table: ObservationTable) -> LayerArchitecture:
     """Time -> one latent node per covariate -> output node, SE kernels."""
-    se = KernelFamily.SQUARED_EXPONENTIAL
-    latents = tuple(
-        NodeSpec(c, KernelSpec(se, np.array([0.2]))) for c in table.covariate_names
-    )
-    out = NodeSpec(
-        table.output_name, KernelSpec(se, np.ones(len(latents)))
-    )
+    latents = tuple(NodeSpec(c, KernelSpec(np.array([0.2]))) for c in table.covariate_names)
+    out = NodeSpec(table.output_name, KernelSpec(np.ones(len(latents))))
     return LayerArchitecture(input_dims=1, latent_nodes=latents, output_node=out)
 
 
@@ -384,14 +379,12 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
             "max_iter": config.fit.max_iter,
             "lengthscale_range": list(config.fit.lengthscale_range),
             "nugget_bounds": list(config.fit.nugget_bounds),
-            "family": config.fit.family.value,
         },
         "sem": {
             "iterations": config.sem.iterations,
             "burn_in": config.sem.burn_in,
             "ess_sweeps": config.sem.ess_sweeps,
             "n_imputations": config.sem.n_imputations,
-            "randomize_sweep_order": config.sem.randomize_sweep_order,
             "refit_max_iter": config.sem.refit_max_iter,
         },
         "mice": dataclasses.asdict(config.mice),

@@ -1,4 +1,5 @@
-"""Zero-mean GP fitting by profiled maximum likelihood and posterior prediction.
+"""Zero-mean SE-kernel GP fitting by profiled maximum likelihood and posterior
+prediction.
 
 Predictive equations, with r(x0) the kernel vector against the training inputs
 and R the correlation matrix with nugget:
@@ -15,7 +16,9 @@ gradient are
     nll              = N/2 log(q / N) + 1/2 log det R
     d nll / d theta  = 1/2 tr(W dR/dtheta),   W = R^-1 - (N / q) alpha alpha^T
 
-so every gradient entry is an elementwise sum over W and dR/dtheta.
+so every gradient entry is an elementwise sum over W and dR/dtheta. The full
+Gaussian log density (:func:`log_marginal_likelihood`, and the ESS likelihood in
+``dgp``) comes from one helper over a Cholesky factor of R.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from scipy.optimize import minimize
 
 from .kernels import (
     CorrelationMatrix,
-    KernelFamily,
     KernelSpec,
     _cholesky_with_jitter,
     build_correlation,
@@ -73,7 +75,6 @@ class FitConfig:
     # multipliers of the per-dimension input range for lengthscale bounds/inits
     lengthscale_range: tuple[float, float] = (0.01, 10.0)
     nugget_bounds: tuple[float, float] = (NUGGET_FLOOR, 1.0)
-    family: KernelFamily = KernelFamily.SQUARED_EXPONENTIAL
 
 
 @dataclass(frozen=True)
@@ -126,31 +127,21 @@ def make_fitted_gp(X, y, hyper: GPHyperparams) -> FittedGP:
     return FittedGP(training=training, hyper=hyper, corr=corr, alpha=alpha)
 
 
+def _gaussian_logpdf(y: np.ndarray, chol: np.ndarray, scale: float) -> float:
+    """Zero-mean normal log density of y under scale * R, with chol the lower
+    Cholesky factor of R."""
+    n = y.shape[0]
+    alpha = cho_solve((chol, True), y, check_finite=False)
+    quad = float(y @ alpha) / scale
+    logdet = n * np.log(scale) + 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return -0.5 * (n * np.log(2.0 * np.pi) + logdet + quad)
+
+
 def log_marginal_likelihood(X, y, hyper: GPHyperparams) -> float:
     """Zero-mean multivariate normal log density of y under sigma^2 R."""
     training = TrainingSet(X, y)
     corr = build_correlation(hyper.kernel, hyper.nugget, training.X)
-    alpha = corr.solve(training.y)
-    n = training.n
-    quad = float(training.y @ alpha) / hyper.scale
-    logdet = n * np.log(hyper.scale) + corr.logdet()
-    return -0.5 * (n * np.log(2.0 * np.pi) + logdet + quad)
-
-
-def _profiled_nll(theta: np.ndarray, X: np.ndarray, y: np.ndarray, family: KernelFamily):
-    """Negative log ML with sigma^2 profiled out; theta = log lengthscales + [log nugget]."""
-    ls = np.exp(theta[:-1])
-    nugget = np.exp(theta[-1])
-    try:
-        corr = build_correlation(KernelSpec(family, ls), nugget, X)
-    except np.linalg.LinAlgError:
-        return np.inf
-    alpha = corr.solve(y)
-    quad = float(y @ alpha)
-    n = len(y)
-    if quad <= 0:
-        return np.inf
-    return 0.5 * n * np.log(quad / n) + 0.5 * corr.logdet()
+    return _gaussian_logpdf(training.y, corr.chol, hyper.scale)
 
 
 class _PreparedSEObjective:
@@ -193,12 +184,8 @@ class _PreparedSEObjective:
         return nll, grad
 
 
-def _minimize_nll(X, y, theta0, bounds, family: KernelFamily, max_iter: int):
-    if family is KernelFamily.SQUARED_EXPONENTIAL:
-        obj = _PreparedSEObjective(X, y)
-        return minimize(obj, theta0, jac=True, method="L-BFGS-B", bounds=bounds,
-                        options={"maxiter": max_iter})
-    return minimize(_profiled_nll, theta0, args=(X, y, family), method="L-BFGS-B",
+def _minimize_nll(X, y, theta0, bounds, max_iter: int):
+    return minimize(_PreparedSEObjective(X, y), theta0, jac=True, method="L-BFGS-B",
                     bounds=bounds, options={"maxiter": max_iter})
 
 
@@ -215,9 +202,9 @@ def _log_bounds(X: np.ndarray, config: FitConfig) -> tuple[np.ndarray, np.ndarra
     return lo, hi
 
 
-def _fitted_at(training: TrainingSet, theta: np.ndarray, family: KernelFamily) -> FittedGP:
+def _fitted_at(training: TrainingSet, theta: np.ndarray) -> FittedGP:
     """FittedGP at log hyperparameters theta, with the scale sigma^2 profiled out."""
-    spec = KernelSpec(family, np.exp(theta[:-1]))
+    spec = KernelSpec(np.exp(theta[:-1]))
     nugget = float(np.exp(theta[-1]))
     corr = build_correlation(spec, nugget, training.X)
     alpha = corr.solve(training.y)
@@ -252,14 +239,14 @@ def fit_gp(X, y, config: FitConfig = FitConfig()) -> FittedGP:
     best = None
     best_val = np.inf
     for t0 in starts:
-        res = _minimize_nll(X_, y_, t0, list(zip(lo, hi)), config.family, config.max_iter)
+        res = _minimize_nll(X_, y_, t0, list(zip(lo, hi)), config.max_iter)
         if np.isfinite(res.fun) and res.fun < best_val:
             best_val = res.fun
             best = res.x
     if best is None:
         raise FitFailureError("optimizer produced no finite objective value")
 
-    return _fitted_at(training, best, config.family)
+    return _fitted_at(training, best)
 
 
 def refit_gp(model_X, model_y, init: GPHyperparams, max_iter: int = 50,
@@ -269,9 +256,8 @@ def refit_gp(model_X, model_y, init: GPHyperparams, max_iter: int = 50,
     t0 = np.concatenate([np.log(init.kernel.lengthscales), [np.log(max(init.nugget, NUGGET_FLOOR))]])
     lo, hi = _log_bounds(training.X, config)
     t0 = np.clip(t0, lo, hi)
-    res = _minimize_nll(training.X, training.y, t0, list(zip(lo, hi)), init.kernel.family,
-                        max_iter)
-    return _fitted_at(training, res.x if np.isfinite(res.fun) else t0, init.kernel.family)
+    res = _minimize_nll(training.X, training.y, t0, list(zip(lo, hi)), max_iter)
+    return _fitted_at(training, res.x if np.isfinite(res.fun) else t0)
 
 
 def _clamp_variance(var: np.ndarray) -> np.ndarray:
@@ -302,8 +288,3 @@ def predict(model: FittedGP, x0) -> PredictiveGaussian:
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     mean, var = predict_batch(model, x0[None, :])
     return PredictiveGaussian(mean=float(mean[0]), variance=float(var[0]))
-
-
-def with_hyperparams(model: FittedGP, hyper: GPHyperparams) -> FittedGP:
-    """Rebuild a FittedGP on the same data with different hyperparameters."""
-    return make_fitted_gp(model.training.X, model.training.y, hyper)

@@ -1,6 +1,8 @@
-"""Stationary product kernels, correlation matrices, and Gaussian kernel expectations.
+"""Squared-exponential product kernel, correlation matrices, and Gaussian kernel
+expectations.
 
-Squared-exponential convention used throughout this package:
+The squared exponential (SE) is the package's only kernel, because the linked-GP
+moments below are closed-form for it. Convention:
 
     k(r) = exp(-r^2 / l^2)
 
@@ -11,18 +13,12 @@ validated against Gauss-Hermite quadrature and Monte Carlo in the test suite.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
 
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
-
-
-class KernelFamily(enum.Enum):
-    SQUARED_EXPONENTIAL = "squared_exponential"
-    MATERN_2_5 = "matern_2_5"
 
 
 class DimensionMismatchError(ValueError):
@@ -35,9 +31,8 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Product-form stationary correlation kernel with per-dimension lengthscales."""
+    """Product-form SE correlation kernel with per-dimension lengthscales."""
 
-    family: KernelFamily
     lengthscales: np.ndarray  # shape (D,), strictly positive
 
     def __post_init__(self):
@@ -53,25 +48,15 @@ class KernelSpec:
         return self.lengthscales.shape[0]
 
 
-def _kernel_1d(family: KernelFamily, r: np.ndarray, lengthscale: float) -> np.ndarray:
-    r = np.abs(r)
-    if family is KernelFamily.SQUARED_EXPONENTIAL:
-        return np.exp(-(r / lengthscale) ** 2)
-    if family is KernelFamily.MATERN_2_5:
-        z = np.sqrt(5.0) * r / lengthscale
-        return (1.0 + z + z**2 / 3.0) * np.exp(-z)
-    raise NotImplementedError(f"unsupported kernel family: {family}")
-
-
 def kernel_value(spec: KernelSpec, a, b) -> float:
-    """Product over dimensions of the 1-D kernel at |a_d - b_d|."""
+    """Product over dimensions of exp(-((a_d - b_d) / l_d)^2)."""
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.shape != (spec.ndim,) or b.shape != (spec.ndim,):
         raise DimensionMismatchError(
             f"expected {spec.ndim}-vectors, got shapes {a.shape} and {b.shape}"
         )
-    vals = _kernel_1d(spec.family, a - b, spec.lengthscales)
+    vals = np.exp(-((a - b) / spec.lengthscales) ** 2)
     return float(np.prod(vals))
 
 
@@ -86,7 +71,7 @@ def cross_correlation(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndar
     out = np.ones((A.shape[0], B.shape[0]))
     for d in range(spec.ndim):
         diff = A[:, d, None] - B[None, :, d]
-        out *= _kernel_1d(spec.family, diff, spec.lengthscales[d])
+        out *= np.exp(-(diff / spec.lengthscales[d]) ** 2)
     return out
 
 
@@ -113,9 +98,6 @@ class CorrelationMatrix:
 
     def inverse(self) -> np.ndarray:
         return self.solve(np.eye(self.n))
-
-    def logdet(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
 
 def _cholesky_with_jitter(R: np.ndarray) -> tuple[np.ndarray, float]:
@@ -153,14 +135,6 @@ def build_correlation(spec: KernelSpec, nugget: float, X: np.ndarray) -> Correla
     return CorrelationMatrix(values=R, chol=L, jitter_applied=jitter)
 
 
-def _require_se(spec: KernelSpec):
-    if spec.family is not KernelFamily.SQUARED_EXPONENTIAL:
-        raise NotImplementedError(
-            f"closed-form kernel expectations only available for the squared "
-            f"exponential family, not {spec.family}"
-        )
-
-
 def expect_k(spec: KernelSpec, m, v, w) -> np.ndarray | float:
     """E[k(W, w)] for W ~ Normal(m, diag(v)), product over dimensions.
 
@@ -171,7 +145,6 @@ def expect_k(spec: KernelSpec, m, v, w) -> np.ndarray | float:
     ``m`` and ``v`` have shape (D,); ``w`` may be (D,) or (N, D), in which case
     an (N,) vector is returned.
     """
-    _require_se(spec)
     m = np.atleast_1d(np.asarray(m, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if np.any(v < 0):
@@ -192,7 +165,6 @@ def expect_kk_pairwise(spec: KernelSpec, m, v, W: np.ndarray) -> np.ndarray:
 
     ``W`` has shape (N, D); returns an (N, N) symmetric matrix.
     """
-    _require_se(spec)
     m = np.atleast_1d(np.asarray(m, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if np.any(v < 0):
@@ -224,7 +196,6 @@ def expect_kk(spec: KernelSpec, m, v, w_i, w_j) -> np.ndarray | float:
 
     ``w_i`` / ``w_j`` may be (D,) or (N, D); shapes must broadcast.
     """
-    _require_se(spec)
     m = np.atleast_1d(np.asarray(m, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if np.any(v < 0):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gp import FitConfig, FittedGP, PredictiveGaussian, fit_gp, predict_batch
-from .kernels import KernelFamily, KernelSpec, expect_k, expect_kk_pairwise
+from .kernels import KernelSpec, expect_k, expect_kk_pairwise
 
 
 class SequentialFitError(ValueError):
@@ -86,7 +86,6 @@ class LinkedEmulator:
 
         def node_entry(m: FittedGP) -> dict:
             return {
-                "family": m.hyper.kernel.family.value,
                 "lengthscales": m.hyper.kernel.lengthscales.tolist(),
                 "scale": m.hyper.scale,
                 "nugget": m.hyper.nugget,
@@ -133,10 +132,6 @@ def propagate_moments(
     repeatedly layer by layer evaluates deeper feed-forward chains.
     """
     kernel = model.hyper.kernel
-    if kernel.family is not KernelFamily.SQUARED_EXPONENTIAL:
-        raise NotImplementedError(
-            "moment propagation requires a squared exponential kernel"
-        )
     W = model.training.X
     I = expect_k(kernel, m, v, W)
     J = expect_kk_pairwise(kernel, m, v, W)

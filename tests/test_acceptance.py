@@ -26,15 +26,13 @@ from gpimpute.gp import (
     make_fitted_gp,
     predict_batch,
 )
-from gpimpute.kernels import KernelFamily, KernelSpec, expect_k, expect_kk
+from gpimpute.kernels import KernelSpec, expect_k, expect_kk
 from gpimpute.linked import propagate_moments
-
-SE = KernelFamily.SQUARED_EXPONENTIAL
 
 
 def se_hyper(lengthscales, scale=1.0, nugget=1e-8):
     return GPHyperparams(
-        kernel=KernelSpec(SE, np.atleast_1d(np.asarray(lengthscales, dtype=float))),
+        kernel=KernelSpec(np.atleast_1d(np.asarray(lengthscales, dtype=float))),
         scale=scale,
         nugget=nugget,
     )
@@ -128,14 +126,14 @@ def test_criterion_03_closed_form_expectations():
         l = rng.uniform(0.7, 2.0)
         m, v = rng.uniform(-1, 1), rng.uniform(0, 0.4)
         w = rng.uniform(-1, 1)
-        spec = KernelSpec(SE, np.array([l]))
+        spec = KernelSpec(np.array([l]))
         ref = gh(lambda x: np.exp(-((x - w) ** 2) / l**2), m, v)
         assert abs(expect_k(spec, m, v, w) - ref) < 1e-10
     for case in range(50):
         l = rng.uniform(0.7, 2.0)
         m, v = rng.uniform(-1, 1), rng.uniform(0, 0.4)
         wi, wj = rng.uniform(-1, 1, 2)
-        spec = KernelSpec(SE, np.array([l]))
+        spec = KernelSpec(np.array([l]))
         ref = gh(
             lambda x: np.exp(-((x - wi) ** 2) / l**2) * np.exp(-((x - wj) ** 2) / l**2),
             m, v,
@@ -375,7 +373,6 @@ def test_criterion_10_report_determinism(tmp_path):
             max_iter=man["fit"]["max_iter"],
             lengthscale_range=tuple(man["fit"]["lengthscale_range"]),
             nugget_bounds=tuple(man["fit"]["nugget_bounds"]),
-            family=KernelFamily(man["fit"]["family"]),
         ),
         sem=SEMConfig(fit=FitConfig(n_starts=2, seed=0), **man["sem"]),
     )

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -20,15 +21,19 @@ from gpimpute.dgp import (
     save_emulator,
     train_sem,
 )
-from gpimpute.gp import FitConfig, GPHyperparams, PredictiveGaussian, fit_gp
-from gpimpute.kernels import KernelFamily, KernelSpec
+from gpimpute.gp import (
+    FitConfig,
+    GPHyperparams,
+    PredictiveGaussian,
+    fit_gp,
+    log_marginal_likelihood,
+)
+from gpimpute.kernels import KernelSpec
 from gpimpute.linked import LayerArchitecture, NodeSpec
-
-SE = KernelFamily.SQUARED_EXPONENTIAL
 
 
 def se_spec(*lengthscales):
-    return KernelSpec(SE, np.array(lengthscales, dtype=float))
+    return KernelSpec(np.array(lengthscales, dtype=float))
 
 
 def small_arch(p=3, names=("pco2", "sid", "lactate")):
@@ -152,6 +157,18 @@ class TestImputeLatents:
         assert np.all(np.abs(draws.mean(axis=0) - prior.mean) < 0.1 * prior_sd + 0.01)
         assert np.all(np.abs(draws.std(axis=0) / prior_sd - 1) < 0.1)
 
+    @pytest.mark.parametrize("n", [40, 115])
+    def test_output_loglik_matches_reference(self, n):
+        # the ESS likelihood builds R from a Gram matrix; on distinct latent
+        # rows it must equal the reference log density
+        rng = np.random.default_rng(5)
+        state = make_state(rng, n=n)
+        impute_latents(state, rng, sweeps=2)
+        for w in (state.w, rng.standard_normal((n, 2))):
+            assert np.unique(w, axis=0).shape[0] == n
+            ref = log_marginal_likelihood(w, state.y, state.second_hyper)
+            assert state.output_loglik(w) == pytest.approx(ref, rel=1e-10)
+
 
 class TestTrainSEM:
     def test_fully_observed_reduces_to_independent_fits(self):
@@ -243,3 +260,31 @@ class TestPersistence:
             b = predict_ensemble(back, x0)
             assert a.mixture.mean == pytest.approx(b.mixture.mean, rel=1e-12)
             assert a.mixture.variance == pytest.approx(b.mixture.variance, rel=1e-10, abs=1e-14)
+
+    @staticmethod
+    def legacy_save(tmp_path, first_family="squared_exponential",
+                    output_family="squared_exponential"):
+        """Save an emulator with the per-entry kernel family keys that manifests
+        carried while the package had a second kernel family."""
+        em = train_sem(masked_window(seed=11), small_arch(), FAST_SEM, 4)
+        path = tmp_path / "em"
+        save_emulator(em, str(path))
+        man = json.loads((path / "manifest.json").read_text())
+        for entry in man["first_layer"] + man["architecture"]["latent_kernels"]:
+            entry["family"] = first_family
+        for entry in (man["second_layer"], man["architecture"]["output_kernel"]):
+            entry["family"] = output_family
+        (path / "manifest.json").write_text(json.dumps(man))
+        return em, path
+
+    def test_loads_legacy_se_manifest(self, tmp_path):
+        em, path = self.legacy_save(tmp_path)
+        back = load_emulator(str(path))
+        assert back.manifest() == em.manifest()
+        assert predict_ensemble(back, [0.4]) == predict_ensemble(em, [0.4])
+
+    @pytest.mark.parametrize("layer", ["first", "output"])
+    def test_refuses_legacy_non_se_family(self, tmp_path, layer):
+        _, path = self.legacy_save(tmp_path, **{f"{layer}_family": "matern_2_5"})
+        with pytest.raises(ValueError, match="matern_2_5"):
+            load_emulator(str(path))

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from gpimpute.kernels import (
     DimensionMismatchError,
-    KernelFamily,
     KernelSpec,
     SingularMatrixError,
     build_correlation,
@@ -15,11 +14,9 @@ from gpimpute.kernels import (
     kernel_value,
 )
 
-SE = KernelFamily.SQUARED_EXPONENTIAL
-
 
 def se(*lengthscales):
-    return KernelSpec(SE, np.array(lengthscales, dtype=float))
+    return KernelSpec(np.array(lengthscales, dtype=float))
 
 
 class TestKernelValue:
@@ -47,24 +44,15 @@ class TestKernelValue:
         with pytest.raises(DimensionMismatchError):
             kernel_value(se(1.0), [0.0, 1.0], [0.0, 1.0])
 
-    def test_matern(self):
-        spec = KernelSpec(KernelFamily.MATERN_2_5, np.array([1.0]))
-        assert kernel_value(spec, [0.0], [0.0]) == 1.0
-        r = 0.8
-        z = np.sqrt(5) * r
-        expected = (1 + z + z**2 / 3) * np.exp(-z)
-        assert kernel_value(spec, [0.0], [r]) == pytest.approx(expected)
-
     @settings(max_examples=100, deadline=None)
     @given(
         # quantized to keep |a-b| either 0 or large enough that k < 1 in floats
         a=st.floats(-5, 5).map(lambda x: round(x, 3)),
         b=st.floats(-5, 5).map(lambda x: round(x, 3)),
         l=st.floats(0.5, 5),  # avoid exp underflow to exactly 0
-        family=st.sampled_from(list(KernelFamily)),
     )
-    def test_symmetric_bounded(self, a, b, l, family):
-        spec = KernelSpec(family, np.array([l]))
+    def test_symmetric_bounded(self, a, b, l):
+        spec = se(l)
         v1 = kernel_value(spec, [a], [b])
         v2 = kernel_value(spec, [b], [a])
         assert v1 == v2
@@ -171,11 +159,6 @@ class TestExpectK:
         spec = se(1.0)
         vals = [expect_k(spec, 0.4, v, 0.4) for v in np.linspace(0, 3, 20)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_matern_not_implemented(self):
-        spec = KernelSpec(KernelFamily.MATERN_2_5, np.array([1.0]))
-        with pytest.raises(NotImplementedError):
-            expect_k(spec, 0.0, 0.1, 0.5)
 
 
 class TestExpectKK:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gpimpute.gp import FitConfig, GPHyperparams, make_fitted_gp, predict
-from gpimpute.kernels import KernelFamily, KernelSpec, expect_k, expect_kk
+from gpimpute.kernels import KernelSpec, expect_k, expect_kk
 from gpimpute.linked import (
     LayerArchitecture,
     LinkedEmulator,
@@ -15,11 +15,9 @@ from gpimpute.linked import (
     propagate_moments,
 )
 
-SE = KernelFamily.SQUARED_EXPONENTIAL
-
 
 def se_spec(*lengthscales):
-    return KernelSpec(SE, np.array(lengthscales, dtype=float))
+    return KernelSpec(np.array(lengthscales, dtype=float))
 
 
 def se_hyper(l, scale=1.0, nugget=1e-8):
@@ -191,18 +189,6 @@ class TestLinkPredict:
         pred = link_predict(em, [0.5])
         assert np.isfinite(pred.mean)
         assert pred.variance >= 0
-
-    def test_matern_second_layer_rejected(self):
-        X = np.array([[0.0], [1.0]])
-        y = np.array([0.0, 1.0])
-        hyper = GPHyperparams(
-            kernel=KernelSpec(KernelFamily.MATERN_2_5, np.array([1.0])),
-            scale=1.0,
-            nugget=1e-6,
-        )
-        model = make_fitted_gp(X, y, hyper)
-        with pytest.raises(NotImplementedError):
-            propagate_moments(model, np.array([0.5]), np.array([0.1]))
 
 
 class TestSequentialFit:

@@ -182,6 +182,34 @@ class TestCLI:
         summary = json.loads(capsys.readouterr().out)
         assert "gp@0.2" in summary
 
+    @pytest.mark.parametrize(
+        "bad, key",
+        [
+            ({"fit": {"family": "squared_exponential"}}, "family"),
+            ({"sem": {"randomize_sweep_order": True}}, "randomize_sweep_order"),
+            ({"n_window": 3}, "n_window"),
+            ({"mode": "extrapolate"}, "mode"),
+            ({"sem": {"iterations": 2, "burn_in": 5}}, "burn_in"),
+        ],
+        ids=["fit-family", "sem-sweep-order", "top-level-typo", "bad-mode", "sem-burn-in"],
+    )
+    def test_run_rejects_bad_config_before_any_cell(self, tmp_path, bad, key):
+        cfg = {
+            "methods": ["locf"],
+            "proportions": [0.2],
+            "n_windows": 1,
+            "synthetic": {"min_length": 20, "max_length": 20},
+            **bad,
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "results"
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("run", "--config", str(cfg_path), "--out", str(out))
+        assert exc.value.code != 0
+        assert key in str(exc.value.code)
+        assert not out.exists()
+
     def test_inspect_emulator_dir(self, tmp_path, capsys):
         from gpimpute.data import generate_synthetic_window
         from gpimpute.dgp import save_emulator, train_sem
