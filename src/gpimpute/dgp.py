@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -30,9 +31,11 @@ from .gp import (
     refit_gp,
 )
 from .kernels import KernelSpec, SingularMatrixError, _cholesky_with_jitter, build_correlation
-from .linked import LayerArchitecture, LinkedEmulator, NodeSpec, link_predict
+from .linked import LayerArchitecture, NodeSpec, _latent_predictions, _propagated_gaussian
 
 ESS_BRACKET_MIN = 1e-12
+# What a fit can raise on data it cannot model; anything else is a programming error.
+FIT_ERRORS = (ValueError, RuntimeError, np.linalg.LinAlgError)
 
 
 class ESSStallError(RuntimeError):
@@ -57,6 +60,10 @@ class SEMConfig:
     fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
+        for name, low in (("burn_in", 0), ("ess_sweeps", 0), ("n_imputations", 1),
+                          ("refit_max_iter", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if self.iterations < self.burn_in:
             raise ValueError("iterations must be >= burn_in")
 
@@ -244,14 +251,31 @@ def impute_latents(state: LatentState, rng: np.random.Generator, sweeps: int = 1
 
 @dataclass
 class DGPSIEmulator:
+    """Ensemble built from its imputations. The draws share the training inputs
+    and first-layer hyperparameters, so each latent node has one GP whose
+    column s is draw s; the second layer has one GP per draw."""
+
     architecture: LayerArchitecture
     first_hyper: list[GPHyperparams]
     second_hyper: GPHyperparams
     imputations: list[LayerImputation]
-    linked: list[LinkedEmulator]
     rng_seed: int | None
-    train_X: np.ndarray = field(repr=False, default=None)
-    train_y: np.ndarray = field(repr=False, default=None)
+    train_X: np.ndarray = field(repr=False)
+    train_y: np.ndarray = field(repr=False)
+    first_layer: list[FittedGP] = field(init=False, repr=False, compare=False)
+    second_layer: list[FittedGP] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        draws = np.stack([imp.values for imp in self.imputations], axis=-1)  # (N, P, S)
+        self.first_layer = [make_fitted_gp(self.train_X, draws[:, p], h)
+                            for p, h in enumerate(self.first_hyper)]
+        self.second_layer = [make_fitted_gp(imp.values, self.train_y, self.second_hyper)
+                             for imp in self.imputations]
+
+    @cached_property
+    def second_layer_inverses(self) -> list[np.ndarray]:
+        """R^-1 of each draw's second layer, computed on first output prediction."""
+        return [gp.corr.inverse() for gp in self.second_layer]
 
     @property
     def n_imputations(self) -> int:
@@ -273,7 +297,6 @@ class DGPSIEmulator:
             "n_imputations": self.n_imputations,
             "n_train": int(self.train_X.shape[0]),
             "rng_seed": self.rng_seed,
-            "clamp_count": int(sum(le.clamp_count for le in self.linked)),
         }
 
 
@@ -283,16 +306,6 @@ def _geometric_mean_hyper(trace: list[GPHyperparams]) -> GPHyperparams:
     scale = float(np.exp(np.mean([np.log(h.scale) for h in trace])))
     nugget = float(np.exp(np.mean([np.log(max(h.nugget, 1e-300)) for h in trace])))
     return GPHyperparams(kernel=KernelSpec(ls), scale=scale, nugget=nugget)
-
-
-def _build_linked(X, y, imputation: LayerImputation, first_hyper, second_hyper) -> LinkedEmulator:
-    first = [
-        make_fitted_gp(X, imputation.values[:, p], first_hyper[p])
-        for p in range(len(first_hyper))
-    ]
-    second = make_fitted_gp(imputation.values, y, second_hyper)
-    return LinkedEmulator(first_layer=first, second_layer=second,
-                          latent_values=imputation.values)
 
 
 def train_sem(
@@ -324,31 +337,32 @@ def train_sem(
     latent_mask = data.mask[np.ix_(np.where(rows)[0], latent_idx)]
     P = arch.n_latent
 
-    def fit_node(Xn, yn, name):
+    def guarded(stage, name, fit, *args) -> FittedGP:
+        """``fit(*args)`` for one node; a fit error becomes an SEMError naming the node."""
         try:
-            return fit_gp(Xn, yn, config.fit)
-        except Exception as exc:
-            raise SEMError(f"initial fit failed for node {name!r}: {exc}") from exc
+            return fit(*args)
+        except FIT_ERRORS as exc:
+            raise SEMError(f"{stage} for node {name!r}: {exc}") from exc
+
+    def fit_node(Xn, yn, name):
+        return guarded("initial fit failed", name, fit_gp, Xn, yn, config.fit)
+
+    def refit_node(Xn, yn, init, name, it):
+        return guarded(f"refit failed at iteration {it}", name, refit_gp, Xn, yn, init,
+                       config.refit_max_iter, config.fit)
 
     if latent_mask.all():
         # E-step is a no-op: independent per-node ML fits, identical latents per draw
-        first = [fit_node(X, latent_obs[:, p], latent_names[p]) for p in range(P)]
-        second = fit_node(latent_obs, y, arch.output_node.name)
-        first_hyper = [m.hyper for m in first]
-        second_hyper = second.hyper
+        first_hyper = [fit_node(X, latent_obs[:, p], latent_names[p]).hyper for p in range(P)]
+        second_hyper = fit_node(latent_obs, y, arch.output_node.name).hyper
         imputations = [
             LayerImputation(values=latent_obs.copy(),
                             fixed_mask=np.ones_like(latent_mask), draw_index=i)
             for i in range(config.n_imputations)
         ]
-        linked = [
-            LinkedEmulator(first_layer=first, second_layer=second, latent_values=latent_obs)
-            for _ in range(config.n_imputations)
-        ]
         return DGPSIEmulator(
             architecture=arch, first_hyper=first_hyper, second_hyper=second_hyper,
-            imputations=imputations, linked=linked, rng_seed=seed,
-            train_X=X, train_y=y,
+            imputations=imputations, rng_seed=seed, train_X=X, train_y=y,
         )
 
     # initial fill: per-column GP on observed entries, posterior mean at missing
@@ -378,22 +392,9 @@ def train_sem(
     for it in range(config.iterations):
         for _ in range(config.ess_sweeps):
             state.sweep(rng)
-        new_first = []
-        for p in range(P):
-            try:
-                m = refit_gp(X, state.w[:, p], state.first_hyper[p], config.refit_max_iter,
-                             config.fit)
-            except Exception as exc:
-                raise SEMError(
-                    f"refit failed at iteration {it} for node {latent_names[p]!r}: {exc}"
-                ) from exc
-            new_first.append(m.hyper)
-        try:
-            m2 = refit_gp(state.w, y, state.second_hyper, config.refit_max_iter, config.fit)
-        except Exception as exc:
-            raise SEMError(
-                f"refit failed at iteration {it} for node {arch.output_node.name!r}: {exc}"
-            ) from exc
+        new_first = [refit_node(X, state.w[:, p], state.first_hyper[p], latent_names[p], it).hyper
+                     for p in range(P)]
+        m2 = refit_node(state.w, y, state.second_hyper, arch.output_node.name, it)
         state.set_hyperparams(new_first, m2.hyper)
         if it >= config.burn_in:
             for p in range(P):
@@ -408,24 +409,24 @@ def train_sem(
         final_second = state.second_hyper
     state.set_hyperparams(final_first, final_second)
 
-    imputations = []
-    linked = []
-    for i in range(config.n_imputations):
-        imp = impute_latents(state, rng, sweeps=config.ess_sweeps, draw_index=i)
-        imputations.append(imp)
-        linked.append(_build_linked(X, y, imp, final_first, final_second))
-
+    imputations = [
+        impute_latents(state, rng, sweeps=config.ess_sweeps, draw_index=i)
+        for i in range(config.n_imputations)
+    ]
     return DGPSIEmulator(
         architecture=arch, first_hyper=final_first, second_hyper=final_second,
-        imputations=imputations, linked=linked, rng_seed=seed,
-        train_X=X, train_y=y,
+        imputations=imputations, rng_seed=seed, train_X=X, train_y=y,
     )
 
 
 def predict_ensemble(em: DGPSIEmulator, x0) -> EnsemblePrediction:
     """Mixture of per-imputation linked-GP predictions at a global input."""
-    components = [link_predict(le, x0) for le in em.linked]
-    return mix_components(components)
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    means, variances = _latent_predictions(em.first_layer, x0[None, :])  # (1, P, S), (1, P)
+    return mix_components([
+        _propagated_gaussian(gp, means[0, :, s], variances[0], Rinv)
+        for s, (gp, Rinv) in enumerate(zip(em.second_layer, em.second_layer_inverses))
+    ])
 
 
 def impute_covariates(em: DGPSIEmulator, query_times, target: str) -> list[EnsemblePrediction]:
@@ -433,18 +434,11 @@ def impute_covariates(em: DGPSIEmulator, query_times, target: str) -> list[Ensem
     each query time."""
     idx = em.architecture.latent_index(target)
     qt = np.asarray(query_times, dtype=float).reshape(-1, 1)
-    comp_means = np.empty((len(em.linked), qt.shape[0]))
-    comp_vars = np.empty_like(comp_means)
-    for i, le in enumerate(em.linked):
-        comp_means[i], comp_vars[i] = predict_batch(le.first_layer[idx], qt)
-    out = []
-    for t in range(qt.shape[0]):
-        comps = [
-            PredictiveGaussian(mean=float(comp_means[i, t]), variance=float(comp_vars[i, t]))
-            for i in range(len(em.linked))
-        ]
-        out.append(mix_components(comps))
-    return out
+    means, variances = predict_batch(em.first_layer[idx], qt)  # (M, S), (M,)
+    return [
+        mix_components([PredictiveGaussian(mean=float(m), variance=float(var)) for m in row])
+        for row, var in zip(means, variances)
+    ]
 
 
 def save_emulator(em: DGPSIEmulator, directory: str):
@@ -523,9 +517,7 @@ def load_emulator(directory: str) -> DGPSIEmulator:
         LayerImputation(values=draws[d][0], fixed_mask=draws[d][1], draw_index=d)
         for d in sorted(draws)
     ]
-    linked = [_build_linked(X, y, imp, first_hyper, second_hyper) for imp in imputations]
     return DGPSIEmulator(
         architecture=arch, first_hyper=first_hyper, second_hyper=second_hyper,
-        imputations=imputations, linked=linked, rng_seed=manifest.get("rng_seed"),
-        train_X=X, train_y=y,
+        imputations=imputations, rng_seed=manifest.get("rng_seed"), train_X=X, train_y=y,
     )

@@ -40,7 +40,7 @@ from .data import (
     make_mask_plan,
     standardise,
 )
-from .dgp import SEMConfig, impute_covariates, predict_ensemble, train_sem
+from .dgp import FIT_ERRORS, SEMConfig, impute_covariates, predict_ensemble, train_sem
 from .gp import FitConfig
 from .kernels import KernelSpec
 from .linked import LayerArchitecture, NodeSpec, fit_sequential_lgp, link_predict_batch
@@ -277,8 +277,9 @@ def _run_method_impute_covariates(
 def run_experiment(config: ExperimentConfig) -> EvaluationReport:
     """Mask -> fit -> impute -> evaluate per window/method/proportion.
 
-    Stage errors are recorded per (window, method, proportion) and the run
-    continues. Deterministic: all RNG streams derive from ``config.seed``.
+    A method's ``FIT_ERRORS`` are recorded with their type per (window, method,
+    proportion) and the run continues; any other exception propagates.
+    Deterministic: all RNG streams derive from ``config.seed``.
     """
     methods = list(config.methods)
     if config.mode == MODE_IMPUTE_COVARIATES and "lgp" in methods:
@@ -319,10 +320,9 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
                         )
                     mae = evaluate_mae(std_truth, result, cells)
                     mae_orig = evaluate_mae_original(std_truth, result, cells, record)
-                except Exception as exc:  # recorded, run continues
-                    failures.append(
-                        {"window": w, "method": method, "proportion": prop, "error": str(exc)}
-                    )
+                except FIT_ERRORS as exc:  # recorded, run continues
+                    failures.append({"window": w, "method": method, "proportion": prop,
+                                     "type": type(exc).__name__, "error": str(exc)})
                     continue
                 per_cell.setdefault((method, prop), []).append(mae)
                 per_cell_orig.setdefault((method, prop), []).append(mae_orig)

@@ -32,6 +32,7 @@ from scipy.optimize import minimize
 
 from .kernels import (
     CorrelationMatrix,
+    DimensionMismatchError,
     KernelSpec,
     _cholesky_with_jitter,
     build_correlation,
@@ -76,15 +77,25 @@ class FitConfig:
     lengthscale_range: tuple[float, float] = (0.01, 10.0)
     nugget_bounds: tuple[float, float] = (NUGGET_FLOOR, 1.0)
 
+    def __post_init__(self):
+        for name in ("n_starts", "max_iter"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not 0 < self.lengthscale_range[0] < self.lengthscale_range[1]:
+            raise ValueError("lengthscale_range must satisfy 0 < low < high")
+        if not 0 < self.nugget_bounds[0] <= self.nugget_bounds[1]:
+            raise ValueError("nugget_bounds must satisfy 0 < low <= high")
+
 
 @dataclass(frozen=True)
 class TrainingSet:
     X: np.ndarray  # (N, D)
-    y: np.ndarray  # (N,)
+    y: np.ndarray  # (N,), or (N, S) for S output columns
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        y = np.asarray(self.y, dtype=float).ravel()
+        y = np.asarray(self.y, dtype=float)
+        y = y if y.ndim == 2 else y.ravel()
         if X.shape[0] != y.shape[0]:
             raise ValueError("X and y must have matching first dimension")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
@@ -112,7 +123,7 @@ class FittedGP:
     training: TrainingSet
     hyper: GPHyperparams
     corr: CorrelationMatrix
-    alpha: np.ndarray  # R^-1 y, cached
+    alpha: np.ndarray  # R^-1 y, cached; (N,) or (N, S) like training.y
 
     @property
     def n(self) -> int:
@@ -120,11 +131,20 @@ class FittedGP:
 
 
 def make_fitted_gp(X, y, hyper: GPHyperparams) -> FittedGP:
-    """Assemble a FittedGP from explicit hyperparameters (no estimation)."""
+    """Assemble a FittedGP from explicit hyperparameters (no estimation); a
+    ``y`` of shape (N, S) solves its S columns against one factor."""
     training = TrainingSet(X, y)
     corr = build_correlation(hyper.kernel, hyper.nugget, training.X)
     alpha = corr.solve(training.y)
     return FittedGP(training=training, hyper=hyper, corr=corr, alpha=alpha)
+
+
+def _single_output(X, y) -> TrainingSet:
+    """TrainingSet of one output column; an (N, 1) ``y`` is flattened."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 2 and y.shape[1] != 1:
+        raise DimensionMismatchError(f"y must be one output column, got shape {y.shape}")
+    return TrainingSet(X, y.ravel())
 
 
 def _gaussian_logpdf(y: np.ndarray, chol: np.ndarray, scale: float) -> float:
@@ -139,7 +159,7 @@ def _gaussian_logpdf(y: np.ndarray, chol: np.ndarray, scale: float) -> float:
 
 def log_marginal_likelihood(X, y, hyper: GPHyperparams) -> float:
     """Zero-mean multivariate normal log density of y under sigma^2 R."""
-    training = TrainingSet(X, y)
+    training = _single_output(X, y)
     corr = build_correlation(hyper.kernel, hyper.nugget, training.X)
     return _gaussian_logpdf(training.y, corr.chol, hyper.scale)
 
@@ -219,7 +239,7 @@ def fit_gp(X, y, config: FitConfig = FitConfig()) -> FittedGP:
     Deterministic given ``config.seed``: starts are drawn from a seeded RNG and
     the best objective wins, ties broken by lowest start index.
     """
-    training = TrainingSet(X, y)
+    training = _single_output(X, y)
     if training.n < 2:
         raise ValueError("fitting requires at least 2 data points")
     if np.ptp(training.y) == 0:
@@ -230,7 +250,7 @@ def fit_gp(X, y, config: FitConfig = FitConfig()) -> FittedGP:
 
     rng = np.random.default_rng(config.seed)
     starts = []
-    for _ in range(max(1, config.n_starts)):
+    for _ in range(config.n_starts):
         t = np.concatenate(
             [rng.uniform(lo[:-1], hi[:-1]), [rng.uniform(lo[-1], max(lo[-1], np.log(1e-1)))]]
         )
@@ -252,7 +272,7 @@ def fit_gp(X, y, config: FitConfig = FitConfig()) -> FittedGP:
 def refit_gp(model_X, model_y, init: GPHyperparams, max_iter: int = 50,
              config: FitConfig = FitConfig()) -> FittedGP:
     """Single warm-started local refit, in :func:`fit_gp`'s search box for ``config``."""
-    training = TrainingSet(model_X, model_y)
+    training = _single_output(model_X, model_y)
     t0 = np.concatenate([np.log(init.kernel.lengthscales), [np.log(max(init.nugget, NUGGET_FLOOR))]])
     lo, hi = _log_bounds(training.X, config)
     t0 = np.clip(t0, lo, hi)
@@ -272,7 +292,8 @@ def _clamp_variance(var: np.ndarray) -> np.ndarray:
 
 
 def predict_batch(model: FittedGP, X0) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior predictive mean and variance at each row of X0."""
+    """Posterior predictive mean and variance at each row of X0: (M, S) means for
+    a model on S output columns, and one (M,) variance, which does not depend on y."""
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     r = cross_correlation(model.hyper.kernel, X0, model.training.X)  # (M, N)
     mean = r @ model.alpha

@@ -14,7 +14,7 @@ as the elementwise sum of R^-1 * J, never as an explicit matrix product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,29 +60,18 @@ class LayerArchitecture:
         raise KeyError(f"unknown latent node: {name!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkedEmulator:
     first_layer: list[FittedGP]  # one per latent node, shared training inputs
     second_layer: FittedGP  # latents -> output
     latent_values: np.ndarray  # (N, P), equals second_layer.training.X
-    clamp_count: int = 0
-    _second_inv: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not np.array_equal(self.second_layer.training.X, self.latent_values):
             raise ValueError("second layer must be trained on latent_values")
 
-    @property
-    def n_latent(self) -> int:
-        return len(self.first_layer)
-
-    def second_layer_inverse(self) -> np.ndarray:
-        if self._second_inv is None:
-            self._second_inv = self.second_layer.corr.inverse()
-        return self._second_inv
-
     def manifest(self) -> dict:
-        """Reproducibility record: hyperparameters, sizes, jitter, clamps."""
+        """Reproducibility record: hyperparameters, sizes, jitter."""
 
         def node_entry(m: FittedGP) -> dict:
             return {
@@ -96,16 +85,15 @@ class LinkedEmulator:
         return {
             "first_layer": [node_entry(m) for m in self.first_layer],
             "second_layer": node_entry(self.second_layer),
-            "clamp_count": self.clamp_count,
         }
 
 
-def _latent_predictions(em: LinkedEmulator, X0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    means = np.empty((X0.shape[0], em.n_latent))
-    variances = np.empty_like(means)
-    for p, model in enumerate(em.first_layer):
-        means[:, p], variances[:, p] = predict_batch(model, X0)
-    return means, variances
+def _latent_predictions(first_layer: list[FittedGP],
+                        X0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First-layer means (M, P), or (M, P, S) for nodes on S output columns, and
+    variances (M, P) at each row of X0."""
+    preds = [predict_batch(model, X0) for model in first_layer]
+    return np.stack([m for m, _ in preds], axis=1), np.stack([v for _, v in preds], axis=1)
 
 
 def assemble_I(em: LinkedEmulator, latent_preds: list[PredictiveGaussian]) -> np.ndarray:
@@ -147,30 +135,27 @@ def propagate_moments(
     return mu, var
 
 
-def _propagate(em: LinkedEmulator, m: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    mu, var = propagate_moments(em.second_layer, m, v, em.second_layer_inverse())
-    if var < 0:
-        em.clamp_count += 1
-        var = 0.0
-    return mu, var
+def _propagated_gaussian(model: FittedGP, m: np.ndarray, v: np.ndarray,
+                         Rinv: np.ndarray | None = None) -> PredictiveGaussian:
+    """:func:`propagate_moments` with a negative (round-off) variance clamped to 0."""
+    mu, var = propagate_moments(model, m, v, Rinv)
+    return PredictiveGaussian(mean=mu, variance=max(var, 0.0))
 
 
 def link_predict(em: LinkedEmulator, x0) -> PredictiveGaussian:
     """Propagated predictive distribution of the output at global input x0."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    means, variances = _latent_predictions(em, x0[None, :])
-    mu, var = _propagate(em, means[0], variances[0])
-    return PredictiveGaussian(mean=mu, variance=var)
+    means, variances = _latent_predictions(em.first_layer, x0[None, :])
+    return _propagated_gaussian(em.second_layer, means[0], variances[0])
 
 
 def link_predict_batch(em: LinkedEmulator, X0) -> tuple[np.ndarray, np.ndarray]:
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-    means, variances = _latent_predictions(em, X0)
-    out_m = np.empty(X0.shape[0])
-    out_v = np.empty(X0.shape[0])
-    for i in range(X0.shape[0]):
-        out_m[i], out_v[i] = _propagate(em, means[i], variances[i])
-    return out_m, out_v
+    means, variances = _latent_predictions(em.first_layer, X0)
+    Rinv = em.second_layer.corr.inverse()
+    preds = [_propagated_gaussian(em.second_layer, means[i], variances[i], Rinv)
+             for i in range(X0.shape[0])]
+    return np.array([p.mean for p in preds]), np.array([p.variance for p in preds])
 
 
 def fit_sequential_lgp(

@@ -27,9 +27,11 @@ from gpimpute.gp import (
     PredictiveGaussian,
     fit_gp,
     log_marginal_likelihood,
+    make_fitted_gp,
+    predict_batch,
 )
 from gpimpute.kernels import KernelSpec
-from gpimpute.linked import LayerArchitecture, NodeSpec
+from gpimpute.linked import LayerArchitecture, LinkedEmulator, NodeSpec, link_predict
 
 
 def se_spec(*lengthscales):
@@ -247,6 +249,28 @@ class TestTrainSEM:
         with pytest.raises(KeyError):
             impute_covariates(em, times, "nonexistent")
 
+    @pytest.mark.parametrize("masked", [True, False], ids=["masked", "fully-observed"])
+    def test_components_match_per_draw_reference(self, masked):
+        # the shared first-layer factor and the per-draw second layers give each
+        # draw's linked GP, built here one draw at a time
+        table = masked_window(seed=12) if masked else make_window(seed=12)
+        em = train_sem(table, small_arch(), FAST_SEM, 5)
+        x0, times = [0.45], np.array([0.1, 0.5, 0.8])
+        ensemble = predict_ensemble(em, x0)
+        covariates = impute_covariates(em, times, "sid")
+        for s, imp in enumerate(em.imputations):
+            first = [make_fitted_gp(em.train_X, imp.values[:, p], h)
+                     for p, h in enumerate(em.first_hyper)]
+            second = make_fitted_gp(imp.values, em.train_y, em.second_hyper)
+            ref = link_predict(LinkedEmulator(first, second, imp.values), x0)
+            got = ensemble.components[s]
+            assert got.mean == pytest.approx(ref.mean, rel=0, abs=1e-10)
+            assert got.variance == pytest.approx(ref.variance, rel=0, abs=1e-10)
+            means, variances = predict_batch(first[1], times[:, None])
+            for t, pred in enumerate(covariates):
+                assert pred.components[s].mean == pytest.approx(means[t], rel=0, abs=1e-10)
+                assert pred.components[s].variance == pytest.approx(variances[t], rel=0, abs=1e-10)
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
@@ -264,8 +288,9 @@ class TestPersistence:
     @staticmethod
     def legacy_save(tmp_path, first_family="squared_exponential",
                     output_family="squared_exponential"):
-        """Save an emulator with the per-entry kernel family keys that manifests
-        carried while the package had a second kernel family."""
+        """Save an emulator with keys that older manifests carried: per-entry
+        kernel family keys, from when the package had a second kernel family,
+        and the linked-prediction clamp count."""
         em = train_sem(masked_window(seed=11), small_arch(), FAST_SEM, 4)
         path = tmp_path / "em"
         save_emulator(em, str(path))
@@ -274,6 +299,7 @@ class TestPersistence:
             entry["family"] = first_family
         for entry in (man["second_layer"], man["architecture"]["output_kernel"]):
             entry["family"] = output_family
+        man["clamp_count"] = 0
         (path / "manifest.json").write_text(json.dumps(man))
         return em, path
 

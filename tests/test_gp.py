@@ -13,7 +13,7 @@ from gpimpute.gp import (
     predict_batch,
     refit_gp,
 )
-from gpimpute.kernels import KernelSpec, build_correlation
+from gpimpute.kernels import DimensionMismatchError, KernelSpec, build_correlation
 
 
 def se_hyper(l, scale=1.0, nugget=0.0):
@@ -116,6 +116,44 @@ class TestFit:
         model = refit_gp(X, y, se_hyper(0.1, 1.0, 1e-6), max_iter=50, config=config)
         assert 0.5 * (1 - 1e-12) <= model.hyper.kernel.lengthscales[0] <= 0.6 * (1 + 1e-12)
         assert 1e-3 * (1 - 1e-12) <= model.hyper.nugget <= 1e-2 * (1 + 1e-12)
+
+
+class TestOutputColumns:
+    @staticmethod
+    def data(s):
+        rng = np.random.default_rng(11)
+        X = np.sort(rng.uniform(0, 1, (25, 1)), axis=0)
+        return X, np.column_stack([np.sin(3 * X[:, 0] + k) for k in range(s)])
+
+    def test_multi_column_y_matches_single_column_fits(self):
+        X, Y = self.data(4)
+        hyper = se_hyper(0.3, scale=1.3, nugget=1e-4)
+        X0 = np.linspace(-0.2, 1.2, 7)[:, None]
+        mean, var = predict_batch(make_fitted_gp(X, Y, hyper), X0)
+        assert mean.shape == (7, 4) and var.shape == (7,)
+        for s in range(4):
+            m_s, v_s = predict_batch(make_fitted_gp(X, Y[:, s], hyper), X0)
+            np.testing.assert_allclose(mean[:, s], m_s, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(var, v_s, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("fit", [
+        lambda X, y: fit_gp(X, y, FitConfig(n_starts=1)),
+        lambda X, y: refit_gp(X, y, se_hyper(0.3, nugget=1e-4)),
+        lambda X, y: log_marginal_likelihood(X, y, se_hyper(0.3, nugget=1e-4)),
+    ], ids=["fit_gp", "refit_gp", "log_marginal_likelihood"])
+    def test_two_column_y_rejected(self, fit):
+        X, Y = self.data(2)
+        with pytest.raises(DimensionMismatchError, match=r"one output column.*\(25, 2\)"):
+            fit(X, Y)
+
+    def test_column_vector_y_flattened(self):
+        X, Y = self.data(1)
+        config = FitConfig(n_starts=2, seed=0)
+        model = fit_gp(X, Y, config)
+        assert model.training.y.shape == (25,)
+        ref = fit_gp(X, Y[:, 0], config).hyper
+        assert np.array_equal(model.hyper.kernel.lengthscales, ref.kernel.lengthscales)
+        assert (model.hyper.scale, model.hyper.nugget) == (ref.scale, ref.nugget)
 
 
 class TestPredict:

@@ -12,6 +12,7 @@ from gpimpute.linked import (
     assemble_J,
     fit_sequential_lgp,
     link_predict,
+    link_predict_batch,
     propagate_moments,
 )
 
@@ -253,4 +254,6 @@ class TestSequentialFit:
         man = em.manifest()
         assert len(man["first_layer"]) == 2
         assert man["second_layer"]["n_train"] == 25
-        assert man["clamp_count"] == 0
+        link_predict_batch(em, X[:5])
+        link_predict(em, X[7])
+        assert em.manifest() == man

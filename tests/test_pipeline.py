@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import gpimpute.dgp
 from gpimpute.baselines import ImputationMethodResult, MethodTag, MICEConfig
 from gpimpute.data import ObservationTable, SyntheticConfig
 from gpimpute.dgp import SEMConfig
@@ -15,7 +16,7 @@ from gpimpute.experiment import (
     run_experiment,
     write_report,
 )
-from gpimpute.gp import FitConfig
+from gpimpute.gp import FitConfig, FitFailureError
 
 FAST_CONFIG = dict(
     proportions=(0.2,),
@@ -135,6 +136,27 @@ class TestRunExperiment:
         header = (tmp_path / "predictions.csv").read_text().splitlines()[0]
         assert header == "window,time,variable,mean,variance,truth,masked"
 
+    @staticmethod
+    def dgpsi_with_failing_fit(monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(gpimpute.dgp, "fit_gp", fail)
+        config = ExperimentConfig(mode="predict-output", methods=("dgpsi",), seed=6,
+                                  **{**FAST_CONFIG, "n_windows": 1})
+        return run_experiment(config)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        with pytest.raises(TypeError, match="not a fit error"):
+            self.dgpsi_with_failing_fit(monkeypatch, TypeError("not a fit error"))
+
+    def test_fit_error_recorded_with_type(self, monkeypatch):
+        report = self.dgpsi_with_failing_fit(monkeypatch, FitFailureError("no finite value"))
+        [failure] = report.failures
+        assert failure["type"] == "SEMError"
+        assert "initial fit failed" in failure["error"]
+        assert "no finite value" in failure["error"]
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown methods"):
             ExperimentConfig(methods=("locf", "zzz"))
@@ -190,8 +212,11 @@ class TestCLI:
             ({"n_window": 3}, "n_window"),
             ({"mode": "extrapolate"}, "mode"),
             ({"sem": {"iterations": 2, "burn_in": 5}}, "burn_in"),
+            ({"sem": {"n_imputations": 0}}, "n_imputations"),
+            ({"fit": {"nugget_bounds": [0.5, 0.1]}}, "nugget_bounds"),
         ],
-        ids=["fit-family", "sem-sweep-order", "top-level-typo", "bad-mode", "sem-burn-in"],
+        ids=["fit-family", "sem-sweep-order", "top-level-typo", "bad-mode", "sem-burn-in",
+             "sem-zero-imputations", "fit-nugget-bounds"],
     )
     def test_run_rejects_bad_config_before_any_cell(self, tmp_path, bad, key):
         cfg = {
