@@ -71,8 +71,6 @@ from .linked import (
     LayerArchitecture,
     LinkedEmulator,
     NodeSpec,
-    assemble_I,
-    assemble_J,
     fit_sequential_lgp,
     link_predict,
     propagate_moments,

@@ -202,24 +202,15 @@ class LatentState:
             self._priors[p] = _ColumnPrior(missing=miss, mean=mean, chol=L)
 
     def output_loglik(self, w_full: np.ndarray) -> float:
-        """Zero-mean Gaussian log density of y under the second-layer GP at latents w.
-
-        Builds R from a Gram matrix rather than :func:`build_correlation`:
-        sampled latents are almost surely distinct, so the nugget lands on the
-        diagonal only.
-        """
+        """Zero-mean Gaussian log density of y under the second-layer GP at latents
+        w, with R from :func:`build_correlation` as the refit objective and
+        prediction build it; -inf where R cannot be factored."""
         hyper = self.second_hyper
-        Z = w_full / hyper.kernel.lengthscales
-        sq = np.einsum("ij,ij->i", Z, Z)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (Z @ Z.T)
-        np.maximum(d2, 0.0, out=d2)
-        R = np.exp(-d2)
-        R[np.diag_indices(self.n)] += hyper.nugget
         try:
-            L, _ = _cholesky_with_jitter(R)
+            corr = build_correlation(hyper.kernel, hyper.nugget, w_full)
         except SingularMatrixError:
             return -np.inf
-        return _gaussian_logpdf(self.y, L, hyper.scale)
+        return _gaussian_logpdf(self.y, corr.chol, hyper.scale)
 
     def sweep(self, rng: np.random.Generator):
         """One ESS update of the missing entries of each latent column."""
@@ -460,16 +451,15 @@ def save_emulator(em: DGPSIEmulator, directory: str):
         json.dump(manifest, fh, indent=2, sort_keys=True)
     np.savetxt(os.path.join(directory, "training_inputs.csv"), em.train_X, delimiter=",")
     np.savetxt(os.path.join(directory, "training_outputs.csv"), em.train_y, delimiter=",")
-    rows = []
-    for imp in em.imputations:
-        n, p = imp.values.shape
-        for i in range(n):
-            for j in range(p):
-                rows.append((imp.draw_index, i, j, float(imp.values[i, j]), int(imp.fixed_mask[i, j])))
-    with open(os.path.join(directory, "imputations.csv"), "w") as fh:
-        fh.write("draw,row,col,value,fixed\n")
-        for r in rows:
-            fh.write(f"{r[0]},{r[1]},{r[2]},{r[3]!r},{r[4]}\n")
+    values = np.stack([imp.values for imp in em.imputations])  # (S, N, P)
+    fixed = np.stack([imp.fixed_mask for imp in em.imputations])
+    draw_ids = np.array([imp.draw_index for imp in em.imputations])
+    draw, row, col = np.indices(values.shape).reshape(3, -1)
+    # 17 significant digits round-trip every float64 bitwise
+    np.savetxt(os.path.join(directory, "imputations.csv"),
+               np.column_stack([draw_ids[draw], row, col, values.ravel(), fixed.ravel()]),
+               fmt=["%d", "%d", "%d", "%.17g", "%d"], delimiter=",",
+               header="draw,row,col,value,fixed", comments="")
 
 
 def _saved_kernel(entry: dict) -> KernelSpec:
@@ -503,19 +493,20 @@ def load_emulator(directory: str) -> DGPSIEmulator:
     y = np.loadtxt(os.path.join(directory, "training_outputs.csv"), delimiter=",").ravel()
     n = X.shape[0]
     p = len(first_hyper)
-    draws: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    with open(os.path.join(directory, "imputations.csv")) as fh:
-        next(fh)
-        for line in fh:
-            d, i, j, val, fixed = line.strip().split(",")
-            d = int(d)
-            if d not in draws:
-                draws[d] = (np.empty((n, p)), np.empty((n, p), dtype=bool))
-            draws[d][0][int(i), int(j)] = float(val)
-            draws[d][1][int(i), int(j)] = bool(int(fixed))
+    path = os.path.join(directory, "imputations.csv")
+    cells = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)  # draw,row,col,value,fixed
+    cells = cells[np.lexsort(cells[:, 2::-1].T)]  # by draw, then row, then col
+    draw_ids = np.unique(cells[:, 0])
+    draw, row, col = np.indices((draw_ids.size, n, p)).reshape(3, -1)
+    expected = np.column_stack([draw_ids[draw], row, col])
+    if cells.shape[1] != 5 or not np.array_equal(cells[:, :3], expected):
+        raise ValueError(f"{path}: every (draw, row, col) cell of the {n} x {p} latents "
+                         "must appear exactly once per draw")
+    values = cells[:, 3].reshape(-1, n, p)
+    fixed = cells[:, 4].reshape(-1, n, p) != 0
     imputations = [
-        LayerImputation(values=draws[d][0], fixed_mask=draws[d][1], draw_index=d)
-        for d in sorted(draws)
+        LayerImputation(values=values[s], fixed_mask=fixed[s], draw_index=int(d))
+        for s, d in enumerate(draw_ids)
     ]
     return DGPSIEmulator(
         architecture=arch, first_hyper=first_hyper, second_hyper=second_hyper,

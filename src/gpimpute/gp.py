@@ -175,7 +175,8 @@ class _PreparedSEObjective:
         self.n = X.shape[0]
         self.d = X.shape[1]
         self.d2 = np.stack([(X[:, k, None] - X[None, :, k]) ** 2 for k in range(self.d)])
-        self.same = np.all(X[:, None, :] == X[None, :, :], axis=2)
+        # identical rows are those at distance exactly 0, as in build_correlation
+        self.same = np.sum(self.d2, axis=0) == 0
         self.eye = np.eye(self.n)
 
     def __call__(self, theta: np.ndarray):
@@ -293,8 +294,13 @@ def _clamp_variance(var: np.ndarray) -> np.ndarray:
 
 def predict_batch(model: FittedGP, X0) -> tuple[np.ndarray, np.ndarray]:
     """Posterior predictive mean and variance at each row of X0: (M, S) means for
-    a model on S output columns, and one (M,) variance, which does not depend on y."""
+    a model on S output columns, and one (M,) variance, which does not depend on y.
+    A non-finite query row raises ValueError."""
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
+    bad = ~np.all(np.isfinite(X0), axis=1)
+    if np.any(bad):
+        raise ValueError(f"query inputs must be finite; rows {np.flatnonzero(bad).tolist()} "
+                         "are not")
     r = cross_correlation(model.hyper.kernel, X0, model.training.X)  # (M, N)
     mean = r @ model.alpha
     Rinv_r = cho_solve((model.corr.chol, True), r.T, check_finite=False)  # (N, M)

@@ -6,9 +6,12 @@ moments below are closed-form for it. Convention:
 
     k(r) = exp(-r^2 / l^2)
 
-i.e. no factor of 2 in the denominator. The closed-form expectations in
-:func:`expect_k` and :func:`expect_kk` are derived for this convention and are
-validated against Gauss-Hermite quadrature and Monte Carlo in the test suite.
+i.e. no factor of 2 in the denominator. Every kernel matrix, and the nugget's
+identical-row indicator, comes from one distance, :func:`scaled_sq_dist`, so
+the ESS likelihood, the fitted and refitted GPs and prediction all build R with
+:func:`build_correlation`. The closed-form expectations in :func:`expect_k` and
+:func:`expect_kk` are derived for this convention and are validated against
+Gauss-Hermite quadrature and Monte Carlo in the test suite.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
@@ -60,19 +64,23 @@ def kernel_value(spec: KernelSpec, a, b) -> float:
     return float(np.prod(vals))
 
 
-def cross_correlation(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kernel matrix k(A_i, B_j), shape (len(A), len(B))."""
+def scaled_sq_dist(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared distances sum_d ((A_id - B_jd) / l_d)^2, shape (len(A), len(B)).
+
+    Exactly symmetric when A is B, and exactly 0 between identical rows.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != spec.ndim or B.shape[1] != spec.ndim:
         raise DimensionMismatchError(
             f"expected {spec.ndim} columns, got {A.shape[1]} and {B.shape[1]}"
         )
-    out = np.ones((A.shape[0], B.shape[0]))
-    for d in range(spec.ndim):
-        diff = A[:, d, None] - B[None, :, d]
-        out *= np.exp(-(diff / spec.lengthscales[d]) ** 2)
-    return out
+    return cdist(A / spec.lengthscales, B / spec.lengthscales, "sqeuclidean")
+
+
+def cross_correlation(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Kernel matrix k(A_i, B_j), shape (len(A), len(B))."""
+    return np.exp(-scaled_sq_dist(spec, A, B))
 
 
 @dataclass
@@ -118,19 +126,15 @@ def build_correlation(spec: KernelSpec, nugget: float, X: np.ndarray) -> Correla
     """Correlation matrix k(X_i, X_j) + nugget * 1{X_i = X_j} with factorization.
 
     The nugget follows the indicator form: it is added for every pair of
-    identical rows, not just the diagonal.
+    identical rows, not just the diagonal, i.e. wherever the scaled distance is
+    exactly 0. The SEM sampler's likelihood and every fitted GP use this matrix;
+    the likelihood objective in ``gp`` rebuilds it from its own distances with
+    the same indicator.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     if nugget < 0 or not np.isfinite(nugget):
         raise ValueError("nugget must be finite and non-negative")
-    K = cross_correlation(spec, X, X)
-    # indicator-form nugget: added for every identical-row pair, not just i == j
-    if np.unique(X, axis=0).shape[0] == X.shape[0]:
-        R = K + nugget * np.eye(X.shape[0])
-    else:
-        same = np.all(X[:, None, :] == X[None, :, :], axis=2)
-        R = K + nugget * same
-    R = 0.5 * (R + R.T)
+    d2 = scaled_sq_dist(spec, X, X)
+    R = np.exp(-d2) + nugget * (d2 == 0)
     L, jitter = _cholesky_with_jitter(R)
     return CorrelationMatrix(values=R, chol=L, jitter_applied=jitter)
 

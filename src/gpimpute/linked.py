@@ -63,12 +63,7 @@ class LayerArchitecture:
 @dataclass(frozen=True)
 class LinkedEmulator:
     first_layer: list[FittedGP]  # one per latent node, shared training inputs
-    second_layer: FittedGP  # latents -> output
-    latent_values: np.ndarray  # (N, P), equals second_layer.training.X
-
-    def __post_init__(self):
-        if not np.array_equal(self.second_layer.training.X, self.latent_values):
-            raise ValueError("second layer must be trained on latent_values")
+    second_layer: FittedGP  # latents -> output, trained on the (N, P) latent values
 
     def manifest(self) -> dict:
         """Reproducibility record: hyperparameters, sizes, jitter."""
@@ -94,20 +89,6 @@ def _latent_predictions(first_layer: list[FittedGP],
     variances (M, P) at each row of X0."""
     preds = [predict_batch(model, X0) for model in first_layer]
     return np.stack([m for m, _ in preds], axis=1), np.stack([v for _, v in preds], axis=1)
-
-
-def assemble_I(em: LinkedEmulator, latent_preds: list[PredictiveGaussian]) -> np.ndarray:
-    """Vector I with I_i = prod_p E[k_p(W_p, w_ip)]; entries in (0, 1]."""
-    m = np.array([p.mean for p in latent_preds])
-    v = np.array([p.variance for p in latent_preds])
-    return expect_k(em.second_layer.hyper.kernel, m, v, em.latent_values)
-
-
-def assemble_J(em: LinkedEmulator, latent_preds: list[PredictiveGaussian]) -> np.ndarray:
-    """Matrix J with J_ij = prod_p E[k_p(W_p, w_ip) k_p(W_p, w_jp)]; symmetric."""
-    m = np.array([p.mean for p in latent_preds])
-    v = np.array([p.variance for p in latent_preds])
-    return expect_kk_pairwise(em.second_layer.hyper.kernel, m, v, em.latent_values)
 
 
 def propagate_moments(
@@ -192,6 +173,5 @@ def fit_sequential_lgp(
         complete &= np.asarray(y_mask, dtype=bool)
     if np.sum(complete) < 2:
         raise SequentialFitError("fewer than 2 complete rows for the output layer")
-    w = latent_obs[complete]
-    second = fit_gp(w, y[complete], config)
-    return LinkedEmulator(first_layer=first_layer, second_layer=second, latent_values=w)
+    second = fit_gp(latent_obs[complete], y[complete], config)
+    return LinkedEmulator(first_layer=first_layer, second_layer=second)

@@ -161,15 +161,20 @@ class TestImputeLatents:
 
     @pytest.mark.parametrize("n", [40, 115])
     def test_output_loglik_matches_reference(self, n):
-        # the ESS likelihood builds R from a Gram matrix; on distinct latent
-        # rows it must equal the reference log density
+        # the ESS likelihood builds R with build_correlation, as the refit
+        # objective does, so it equals the reference log density on distinct
+        # latent rows and, with the nugget on every identical pair, on two
+        # identical fully observed rows
         rng = np.random.default_rng(5)
         state = make_state(rng, n=n)
         impute_latents(state, rng, sweeps=2)
-        for w in (state.w, rng.standard_normal((n, 2))):
-            assert np.unique(w, axis=0).shape[0] == n
+        duplicated = state.w.copy()
+        assert state.latent_mask[:2].all()
+        duplicated[1] = duplicated[0]
+        for w in (state.w, rng.standard_normal((n, 2)), duplicated):
             ref = log_marginal_likelihood(w, state.y, state.second_hyper)
             assert state.output_loglik(w) == pytest.approx(ref, rel=1e-10)
+        assert np.unique(duplicated, axis=0).shape[0] == n - 1
 
 
 class TestTrainSEM:
@@ -249,6 +254,14 @@ class TestTrainSEM:
         with pytest.raises(KeyError):
             impute_covariates(em, times, "nonexistent")
 
+    def test_non_finite_query_refused(self):
+        em = train_sem(masked_window(seed=10), small_arch(), FAST_SEM, 3)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                impute_covariates(em, [0.2, bad], "sid")
+            with pytest.raises(ValueError, match="finite"):
+                predict_ensemble(em, [bad])
+
     @pytest.mark.parametrize("masked", [True, False], ids=["masked", "fully-observed"])
     def test_components_match_per_draw_reference(self, masked):
         # the shared first-layer factor and the per-draw second layers give each
@@ -262,7 +275,7 @@ class TestTrainSEM:
             first = [make_fitted_gp(em.train_X, imp.values[:, p], h)
                      for p, h in enumerate(em.first_hyper)]
             second = make_fitted_gp(imp.values, em.train_y, em.second_hyper)
-            ref = link_predict(LinkedEmulator(first, second, imp.values), x0)
+            ref = link_predict(LinkedEmulator(first, second), x0)
             got = ensemble.components[s]
             assert got.mean == pytest.approx(ref.mean, rel=0, abs=1e-10)
             assert got.variance == pytest.approx(ref.variance, rel=0, abs=1e-10)
@@ -277,13 +290,30 @@ class TestPersistence:
         table = masked_window(seed=11)
         em = train_sem(table, small_arch(), FAST_SEM, 4)
         save_emulator(em, str(tmp_path / "em"))
+        lines = (tmp_path / "em" / "imputations.csv").read_text().splitlines()
+        assert lines[0] == "draw,row,col,value,fixed"
         back = load_emulator(str(tmp_path / "em"))
         assert back.manifest() == em.manifest()
+        for a, b in zip(em.imputations, back.imputations, strict=True):
+            assert a.draw_index == b.draw_index
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.fixed_mask, b.fixed_mask)
         for x0 in ([0.2], [0.7]):
             a = predict_ensemble(em, x0)
             b = predict_ensemble(back, x0)
             assert a.mixture.mean == pytest.approx(b.mixture.mean, rel=1e-12)
             assert a.mixture.variance == pytest.approx(b.mixture.variance, rel=1e-10, abs=1e-14)
+
+    @pytest.mark.parametrize("damage", ["truncated", "duplicated-line"])
+    def test_incomplete_imputations_refused(self, tmp_path, damage):
+        em = train_sem(masked_window(seed=11), small_arch(), FAST_SEM, 4)
+        save_emulator(em, str(tmp_path / "em"))
+        path = tmp_path / "em" / "imputations.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines = lines[:-40] if damage == "truncated" else lines + lines[-1:]
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="imputations.csv"):
+            load_emulator(str(tmp_path / "em"))
 
     @staticmethod
     def legacy_save(tmp_path, first_family="squared_exponential",

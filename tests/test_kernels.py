@@ -73,6 +73,16 @@ class TestBuildCorrelation:
         assert corr.values[0, 0] == pytest.approx(1.2)
         assert corr.values[2, 2] == pytest.approx(1.2)
         assert corr.values[0, 2] == pytest.approx(kernel_value(se(1.0), [0.3], [1.0]))
+        # D = 3: only the repeated row pair (0, 3) gets the off-diagonal nugget
+        X3 = np.array([[0.1, 0.5, -0.2], [0.1, 0.5, 0.7], [0.4, -1.0, 0.3], [0.1, 0.5, -0.2]])
+        spec3 = se(0.6, 1.1, 0.9)
+        corr3 = build_correlation(spec3, 0.2, X3)
+        for i in range(4):
+            for j in range(4):
+                same = np.array_equal(X3[i], X3[j])
+                expected = kernel_value(spec3, X3[i], X3[j]) + (0.2 if same else 0.0)
+                assert corr3.values[i, j] == pytest.approx(expected, rel=1e-14)
+        assert corr3.values[0, 3] == 1.2
 
     def test_rank_one_duplicate_no_nugget_jitter(self):
         # two identical rows, eta=0: exactly singular; jitter policy repairs and records
@@ -81,13 +91,18 @@ class TestBuildCorrelation:
         assert corr.jitter_applied <= 1e-4
 
     def test_elementwise_agreement(self):
-        X = np.array([[0.1], [0.4], [0.9]])
         eta = 0.05
-        corr = build_correlation(se(0.7), eta, X)
-        for i in range(3):
-            for j in range(3):
-                expected = kernel_value(se(0.7), X[i], X[j]) + (eta if i == j else 0)
-                assert abs(corr.values[i, j] - expected) < 1e-15
+        cases = [
+            (np.array([[0.1], [0.4], [0.9]]), se(0.7)),
+            (np.array([[0.1, -0.3, 0.5], [0.4, 0.2, -0.1], [0.9, 0.6, 0.3], [-0.5, 0.0, 1.2]]),
+             se(0.7, 1.3, 0.4)),
+        ]
+        for X, spec in cases:
+            corr = build_correlation(spec, eta, X)
+            for i in range(len(X)):
+                for j in range(len(X)):
+                    expected = kernel_value(spec, X[i], X[j]) + (eta if i == j else 0)
+                    assert abs(corr.values[i, j] - expected) <= 1e-15
 
     def test_cholesky_reconstruction(self):
         rng = np.random.default_rng(0)
@@ -102,7 +117,7 @@ class TestBuildCorrelation:
         rng = np.random.default_rng(1)
         X = rng.uniform(-2, 2, (25, 3))
         corr = build_correlation(se(1.0, 1.0, 1.0), 0.01, X)
-        assert np.allclose(corr.values, corr.values.T, rtol=1e-12)
+        assert np.array_equal(corr.values, corr.values.T)
 
     def test_singular_error_names_jitter(self):
         # an indefinite matrix cannot be repaired; error names the jitter ceiling

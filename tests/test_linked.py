@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from gpimpute.gp import FitConfig, GPHyperparams, make_fitted_gp, predict
-from gpimpute.kernels import KernelSpec, expect_k, expect_kk
+from gpimpute.kernels import KernelSpec, expect_k, expect_kk, expect_kk_pairwise
 from gpimpute.linked import (
     LayerArchitecture,
     LinkedEmulator,
     NodeSpec,
     SequentialFitError,
-    assemble_I,
-    assemble_J,
     fit_sequential_lgp,
     link_predict,
     link_predict_batch,
@@ -37,7 +35,7 @@ def build_emulator(rng, n=15, p=2, l_first=0.4, l_second=0.5, nugget=1e-6):
         for j in range(p)
     ]
     second = make_fitted_gp(latents, y, se_hyper([l_second] * p, 1.0, nugget))
-    return LinkedEmulator(first_layer=first, second_layer=second, latent_values=latents)
+    return LinkedEmulator(first_layer=first, second_layer=second)
 
 
 class TestArchitecture:
@@ -69,16 +67,22 @@ class TestArchitecture:
 
 
 class TestAssembly:
+    """I and J as propagate_moments computes them, on the second layer's latents."""
+
+    @staticmethod
+    def moments(em, x0):
+        preds = [predict(m, x0) for m in em.first_layer]
+        return np.array([p.mean for p in preds]), np.array([p.variance for p in preds])
+
     def test_I_entries_and_factorization(self):
         em = build_emulator(np.random.default_rng(0), p=2)
-        preds = [predict(m, [0.37]) for m in em.first_layer]
-        I = assemble_I(em, preds)
-        assert I.shape == (em.latent_values.shape[0],)
-        assert np.all(I > 0) and np.all(I <= 1)
+        m, v = self.moments(em, [0.37])
         kernel = em.second_layer.hyper.kernel
-        m = np.array([p.mean for p in preds])
-        v = np.array([p.variance for p in preds])
-        for i, w in enumerate(em.latent_values):
+        W = em.second_layer.training.X
+        I = expect_k(kernel, m, v, W)
+        assert I.shape == (W.shape[0],)
+        assert np.all(I > 0) and np.all(I <= 1)
+        for i, w in enumerate(W):
             factors = [
                 expect_k(se_spec(kernel.lengthscales[d]), m[d], v[d], w[d])
                 for d in range(2)
@@ -87,16 +91,14 @@ class TestAssembly:
 
     def test_J_symmetric_jensen(self):
         em = build_emulator(np.random.default_rng(1), p=2)
-        preds = [predict(m, [0.61]) for m in em.first_layer]
-        I = assemble_I(em, preds)
-        J = assemble_J(em, preds)
+        m, v = self.moments(em, [0.61])
+        kernel = em.second_layer.hyper.kernel
+        W = em.second_layer.training.X
+        I = expect_k(kernel, m, v, W)
+        J = expect_kk_pairwise(kernel, m, v, W)
         assert np.allclose(J, J.T, rtol=1e-13)
         # E[k^2] >= E[k]^2 elementwise on the diagonal
         assert np.all(np.diag(J) >= I**2 - 1e-14)
-        m = np.array([p.mean for p in preds])
-        v = np.array([p.variance for p in preds])
-        kernel = em.second_layer.hyper.kernel
-        W = em.latent_values
         assert J[0, 1] == pytest.approx(expect_kk(kernel, m, v, W[0], W[1]), rel=1e-12)
 
 
@@ -214,7 +216,7 @@ class TestSequentialFit:
         mask[3, 0] = mask[10, 1] = False
         em = fit_sequential_lgp(X, latents, mask, y, self.arch(), FitConfig(seed=0))
         # output layer trains on the 23 complete rows only
-        assert em.latent_values.shape == (23, 2)
+        assert em.second_layer.training.X.shape == (23, 2)
         pred = link_predict(em, [0.5])
         assert np.isfinite(pred.mean) and pred.variance >= 0
 
@@ -227,7 +229,7 @@ class TestSequentialFit:
         em = fit_sequential_lgp(
             X, latents, mask, y, self.arch(), FitConfig(seed=0), y_mask=y_mask
         )
-        assert em.latent_values.shape[0] == len(y) - 5
+        assert em.second_layer.n == len(y) - 5
 
     def test_sparse_latent_column_error(self):
         rng = np.random.default_rng(9)
