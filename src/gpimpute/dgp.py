@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .data import ObservationTable
 from .gp import (
@@ -30,7 +29,13 @@ from .gp import (
     predict_batch,
     refit_gp,
 )
-from .kernels import KernelSpec, SingularMatrixError, _cholesky_with_jitter, build_correlation
+from .kernels import (
+    KernelSpec,
+    SingularMatrixError,
+    _cholesky_with_jitter,
+    build_correlation,
+    chol_solve,
+)
 from .linked import LayerArchitecture, NodeSpec, _latent_predictions, _propagated_gaussian
 
 ESS_BRACKET_MIN = 1e-12
@@ -94,17 +99,20 @@ def mix_components(components: list[PredictiveGaussian]) -> EnsemblePrediction:
     )
 
 
-def ess_update(prior_mean, prior_chol, current, loglik, rng) -> np.ndarray:
+def ess_update(prior_mean, prior_chol, current, loglik, rng,
+               current_loglik: float | None = None) -> np.ndarray:
     """One elliptical slice sampling transition for target prior x likelihood.
 
     ``prior_chol`` is the lower Cholesky factor of the prior covariance. The
     invariant distribution is proportional to N(prior_mean, LL^T) * exp(loglik).
+    ``current_loglik``, when given, is ``loglik(current)`` and saves that call.
+    The last ``loglik`` call before returning is the accepted proposal's.
     """
     current = np.asarray(current, dtype=float)
     if current.size == 0:
         return current
     mean = np.asarray(prior_mean, dtype=float)
-    logy = loglik(current)
+    logy = loglik(current) if current_loglik is None else current_loglik
     if not np.isfinite(logy):
         raise ValueError("loglik must be finite at the current state")
     logy += np.log(rng.uniform())
@@ -161,6 +169,7 @@ class LatentState:
         self.w = np.asarray(initial_latents, dtype=float).copy()
         self.w[self.latent_mask] = self.latent_obs[self.latent_mask]
         self._priors: list[_ColumnPrior | None] = [None] * self.n_latent
+        self._loglik: float | None = None  # output_loglik(self.w), once a sweep has run
         self._rebuild_priors()
 
     @property
@@ -174,6 +183,7 @@ class LatentState:
     def set_hyperparams(self, first_hyper, second_hyper):
         self.first_hyper = list(first_hyper)
         self.second_hyper = second_hyper
+        self._loglik = None
         self._rebuild_priors()
 
     def _rebuild_priors(self):
@@ -194,8 +204,8 @@ class LatentState:
                 S_oo = cov[np.ix_(oi, oi)]
                 S_mo = cov[np.ix_(miss, oi)]
                 L_oo, _ = _cholesky_with_jitter(S_oo)
-                sol = cho_solve((L_oo, True), S_mo.T)  # S_oo^-1 S_om
-                mean = S_mo @ cho_solve((L_oo, True), self.latent_obs[oi, p])
+                sol = chol_solve(L_oo, S_mo.T)  # S_oo^-1 S_om
+                mean = S_mo @ chol_solve(L_oo, self.latent_obs[oi, p])
                 cond = cov[np.ix_(miss, miss)] - S_mo @ sol
                 cond = 0.5 * (cond + cond.T)
             L, _ = _cholesky_with_jitter(cond)
@@ -219,13 +229,20 @@ class LatentState:
             if prior is None:
                 continue
             w_work = self.w.copy()
+            last = None
 
             def loglik(free):
+                nonlocal last
                 w_work[prior.missing, p] = free
-                return self.output_loglik(w_work)
+                last = self.output_loglik(w_work)
+                return last
 
-            new = ess_update(prior.mean, prior.chol, self.w[prior.missing, p], loglik, rng)
+            new = ess_update(prior.mean, prior.chol, self.w[prior.missing, p], loglik, rng,
+                             current_loglik=self._loglik)
+            # ess_update returns right after the accepting call, so `last` is the
+            # likelihood of w_work, which is now self.w exactly
             self.w[prior.missing, p] = new
+            self._loglik = last
 
 
 def impute_latents(state: LatentState, rng: np.random.Generator, sweeps: int = 1,

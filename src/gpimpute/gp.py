@@ -18,7 +18,9 @@ gradient are
 
 so every gradient entry is an elementwise sum over W and dR/dtheta. The full
 Gaussian log density (:func:`log_marginal_likelihood`, and the ESS likelihood in
-``dgp``) comes from one helper over a Cholesky factor of R.
+``dgp``) comes from one helper over a Cholesky factor of R. Factors and solves
+go through ``kernels._cholesky_with_jitter`` and ``kernels.chol_solve``, which
+call LAPACK directly.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.optimize import minimize
 
 from .kernels import (
@@ -36,6 +37,7 @@ from .kernels import (
     KernelSpec,
     _cholesky_with_jitter,
     build_correlation,
+    chol_solve,
     cross_correlation,
 )
 
@@ -151,7 +153,7 @@ def _gaussian_logpdf(y: np.ndarray, chol: np.ndarray, scale: float) -> float:
     """Zero-mean normal log density of y under scale * R, with chol the lower
     Cholesky factor of R."""
     n = y.shape[0]
-    alpha = cho_solve((chol, True), y, check_finite=False)
+    alpha = chol_solve(chol, y)
     quad = float(y @ alpha) / scale
     logdet = n * np.log(scale) + 2.0 * float(np.sum(np.log(np.diag(chol))))
     return -0.5 * (n * np.log(2.0 * np.pi) + logdet + quad)
@@ -177,7 +179,6 @@ class _PreparedSEObjective:
         self.d2 = np.stack([(X[:, k, None] - X[None, :, k]) ** 2 for k in range(self.d)])
         # identical rows are those at distance exactly 0, as in build_correlation
         self.same = np.sum(self.d2, axis=0) == 0
-        self.eye = np.eye(self.n)
 
     def __call__(self, theta: np.ndarray):
         # Everything over N^2 elements is elementwise: OpenBLAS threads even
@@ -192,12 +193,12 @@ class _PreparedSEObjective:
             L, _ = _cholesky_with_jitter(R)
         except np.linalg.LinAlgError:
             return np.inf, np.zeros_like(theta)
-        alpha = cho_solve((L, True), self.y, check_finite=False)
+        alpha = chol_solve(L, self.y)
         quad = float(self.y @ alpha)
         if quad <= 0:
             return np.inf, np.zeros_like(theta)
         nll = 0.5 * self.n * np.log(quad / self.n) + float(np.sum(np.log(np.diag(L))))
-        Rinv = cho_solve((L, True), self.eye, check_finite=False)
+        Rinv = chol_solve(L, np.eye(self.n))
         W = Rinv - (self.n / quad) * np.outer(alpha, alpha)
         grad = np.empty_like(theta)
         grad[:-1] = np.sum((W * K) * scaled, axis=(1, 2))
@@ -303,7 +304,7 @@ def predict_batch(model: FittedGP, X0) -> tuple[np.ndarray, np.ndarray]:
                          "are not")
     r = cross_correlation(model.hyper.kernel, X0, model.training.X)  # (M, N)
     mean = r @ model.alpha
-    Rinv_r = cho_solve((model.corr.chol, True), r.T, check_finite=False)  # (N, M)
+    Rinv_r = model.corr.solve(r.T)  # (N, M)
     var = model.hyper.scale * (
         1.0 + model.hyper.nugget - np.sum(r * Rinv_r.T, axis=1)
     )

@@ -9,7 +9,11 @@ moments below are closed-form for it. Convention:
 i.e. no factor of 2 in the denominator. Every kernel matrix, and the nugget's
 identical-row indicator, comes from one distance, :func:`scaled_sq_dist`, so
 the ESS likelihood, the fitted and refitted GPs and prediction all build R with
-:func:`build_correlation`. The closed-form expectations in :func:`expect_k` and
+:func:`build_correlation`. Every Cholesky factor comes from
+:func:`_cholesky_with_jitter` and every solve against one from :func:`chol_solve`;
+both call LAPACK (``dpotrf``/``dpotrs``) directly, because the numpy and scipy
+wrappers cost more per call than the routine at the sizes SEM factors many
+thousands of times. The closed-form expectations in :func:`expect_k` and
 :func:`expect_kk` are derived for this convention and are validated against
 Gauss-Hermite quadrature and Monte Carlo in the test suite.
 """
@@ -19,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.spatial.distance import cdist
 
 JITTER_START = 1e-10
@@ -100,26 +105,33 @@ class CorrelationMatrix:
         return self.values.shape[0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        from scipy.linalg import cho_solve
-
-        return cho_solve((self.chol, True), b, check_finite=False)
+        return chol_solve(self.chol, b)
 
     def inverse(self) -> np.ndarray:
         return self.solve(np.eye(self.n))
 
 
+def chol_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (L L^T) x = b for x, with ``chol`` = L lower triangular; ``b`` is
+    (N,) or (N, K). No finiteness scan."""
+    return lapack.dpotrs(chol, b, lower=1)[0]
+
+
 def _cholesky_with_jitter(R: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor L of R + jitter * I, with an exactly zero upper
+    triangle, and the jitter: 0 if R factors, else the first of 1e-10, 1e-9, ...
+    up to JITTER_MAX that does."""
     jitter = 0.0
     while True:
-        try:
-            L = np.linalg.cholesky(R if jitter == 0.0 else R + jitter * np.eye(len(R)))
+        L, info = lapack.dpotrf(R if jitter == 0.0 else R + jitter * np.eye(len(R)),
+                                lower=1, clean=1)
+        if info == 0:
             return L, jitter
-        except np.linalg.LinAlgError:
-            jitter = JITTER_START if jitter == 0.0 else jitter * 10.0
-            if jitter > JITTER_MAX:
-                raise SingularMatrixError(
-                    f"correlation matrix not positive definite even at jitter {JITTER_MAX:g}"
-                ) from None
+        jitter = JITTER_START if jitter == 0.0 else jitter * 10.0
+        if jitter > JITTER_MAX:
+            raise SingularMatrixError(
+                f"correlation matrix not positive definite even at jitter {JITTER_MAX:g}"
+            )
 
 
 def build_correlation(spec: KernelSpec, nugget: float, X: np.ndarray) -> CorrelationMatrix:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gpimpute import dgp
 from gpimpute.data import (
     SyntheticConfig,
     generate_synthetic_window,
@@ -175,6 +176,69 @@ class TestImputeLatents:
             ref = log_marginal_likelihood(w, state.y, state.second_hyper)
             assert state.output_loglik(w) == pytest.approx(ref, rel=1e-10)
         assert np.unique(duplicated, axis=0).shape[0] == n - 1
+
+
+def reference_sweep(state, rng):
+    """LatentState.sweep as it was before the likelihood reuse: every update
+    recomputes the current state's likelihood."""
+    for p, prior in enumerate(state._priors):
+        if prior is None:
+            continue
+        w_work = state.w.copy()
+
+        def loglik(free):
+            w_work[prior.missing, p] = free
+            return state.output_loglik(w_work)
+
+        state.w[prior.missing, p] = dgp.ess_update(prior.mean, prior.chol,
+                                                   state.w[prior.missing, p], loglik, rng)
+
+
+class TestESSLikelihoodReuse:
+    """The accepted proposal's likelihood is the next update's current one."""
+
+    NEW_SECOND = GPHyperparams(kernel=se_spec(0.5, 1.2), scale=4.0, nugget=0.02)
+
+    def run(self, sweep, monkeypatch):
+        """Three sweeps, a second-layer hyperparameter change, three more; the
+        draws after every sweep, the output_loglik calls and the ess_update calls."""
+        state = make_state(np.random.default_rng(6), n=30)
+        rng = np.random.default_rng(7)
+        counts = {"loglik": 0, "ess": 0}
+        output_loglik, ess_update = state.output_loglik, dgp.ess_update
+
+        def counting_loglik(w):
+            counts["loglik"] += 1
+            return output_loglik(w)
+
+        def counting_ess(*args, **kwargs):
+            counts["ess"] += 1
+            return ess_update(*args, **kwargs)
+
+        state.output_loglik = counting_loglik
+        draws = []
+        with monkeypatch.context() as patch:
+            patch.setattr(dgp, "ess_update", counting_ess)
+            for k in range(6):
+                if k == 3:
+                    state.set_hyperparams(state.first_hyper, self.NEW_SECOND)
+                sweep(state, rng)
+                draws.append(state.w.copy())
+        return draws, counts
+
+    def test_draws_bitwise_equal_to_recomputing_reference(self, monkeypatch):
+        draws, _ = self.run(LatentState.sweep, monkeypatch)
+        ref, _ = self.run(reference_sweep, monkeypatch)
+        for got, want in zip(draws, ref):
+            assert np.array_equal(got, want)
+        assert not np.array_equal(draws[0], draws[-1])
+
+    def test_one_loglik_call_fewer_per_update(self, monkeypatch):
+        _, counts = self.run(LatentState.sweep, monkeypatch)
+        _, ref = self.run(reference_sweep, monkeypatch)
+        assert counts["ess"] == ref["ess"] == 6 * 2  # two columns with missing entries
+        # fresh only on the first update and the first after set_hyperparams
+        assert ref["loglik"] - counts["loglik"] == counts["ess"] - 2
 
 
 class TestTrainSEM:

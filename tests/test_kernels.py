@@ -3,11 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpimpute import kernels
 from gpimpute.kernels import (
+    JITTER_MAX,
+    JITTER_START,
     DimensionMismatchError,
     KernelSpec,
     SingularMatrixError,
+    _cholesky_with_jitter,
     build_correlation,
+    chol_solve,
     expect_k,
     expect_kk,
     expect_kk_pairwise,
@@ -121,11 +126,62 @@ class TestBuildCorrelation:
 
     def test_singular_error_names_jitter(self):
         # an indefinite matrix cannot be repaired; error names the jitter ceiling
-        from gpimpute.kernels import _cholesky_with_jitter
-
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(SingularMatrixError, match="0.0001"):
             _cholesky_with_jitter(bad)
+
+
+class TestCholeskyFactor:
+    """The LAPACK factor: what ESS, the refit objective and prediction rely on."""
+
+    @staticmethod
+    def correlation(n):
+        X = np.random.default_rng(n).uniform(0, 1, (n, 1))
+        return build_correlation(se(0.3), 1e-3, X).values
+
+    @pytest.mark.parametrize("n", [40, 115])
+    def test_matches_numpy_with_zero_upper_triangle(self, n):
+        R = self.correlation(n)
+        L, jitter = _cholesky_with_jitter(R)
+        assert jitter == 0.0
+        # ess_update multiplies the whole factor, so the upper triangle must be 0
+        assert np.all(np.triu(L, 1) == 0)
+        ref = np.linalg.cholesky(R)
+        assert np.linalg.norm(L - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_jittered_rung(self):
+        # two identical rows without nugget: singular at 0, factored on a rung
+        R = build_correlation(se(1.0), 0.0, [[0.3], [0.3], [0.9], [0.1]]).values
+        L, jitter = _cholesky_with_jitter(R)
+        assert JITTER_START <= jitter <= JITTER_MAX
+        assert np.all(np.triu(L, 1) == 0)
+        ref = np.linalg.cholesky(R + jitter * np.eye(4))
+        assert np.linalg.norm(L - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("shape", [(40,), (40, 3)])
+    def test_chol_solve(self, shape):
+        R = self.correlation(40)
+        L, _ = _cholesky_with_jitter(R)
+        b = np.random.default_rng(2).standard_normal(shape)
+        x = chol_solve(L, b)
+        assert x.shape == shape
+        assert np.allclose(R @ x, b, rtol=0, atol=1e-9)
+
+    def test_unfactorable_scores_minus_inf(self, monkeypatch):
+        # with the ladder capped below its first rung, identical rows cannot be
+        # factored: the ESS likelihood is -inf and the refit objective inf
+        from gpimpute.dgp import LatentState
+        from gpimpute.gp import GPHyperparams, _PreparedSEObjective
+
+        monkeypatch.setattr(kernels, "JITTER_MAX", 0.0)
+        X = np.array([[0.2], [0.2], [0.7]])
+        y = np.array([0.1, -0.4, 0.3])
+        nll, grad = _PreparedSEObjective(X, y)(np.log([0.5, 1e-3]))
+        assert nll == np.inf and np.all(grad == 0)
+        hyper = GPHyperparams(kernel=se(0.5), scale=1.0, nugget=0.0)
+        state = LatentState(X=X, y=y, latent_obs=X, latent_mask=np.ones((3, 1), bool),
+                            first_hyper=[hyper], second_hyper=hyper, initial_latents=X)
+        assert state.output_loglik(X) == -np.inf
 
 
 def gauss_hermite_expect(f, m, v, nodes=64):
