@@ -19,8 +19,8 @@ gradient are
 so every gradient entry is an elementwise sum over W and dR/dtheta. The full
 Gaussian log density (:func:`log_marginal_likelihood`, and the ESS likelihood in
 ``dgp``) comes from one helper over a Cholesky factor of R. Factors and solves
-go through ``kernels._cholesky_with_jitter`` and ``kernels.chol_solve``, which
-call LAPACK directly.
+go through ``kernels._cholesky_with_jitter``, ``kernels.chol_solve`` and
+``kernels.chol_inverse``, which call LAPACK directly.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .kernels import (
     KernelSpec,
     _cholesky_with_jitter,
     build_correlation,
+    chol_inverse,
     chol_solve,
     cross_correlation,
 )
@@ -177,18 +178,18 @@ class _PreparedSEObjective:
         self.n = X.shape[0]
         self.d = X.shape[1]
         self.d2 = np.stack([(X[:, k, None] - X[None, :, k]) ** 2 for k in range(self.d)])
-        # identical rows are those at distance exactly 0, as in build_correlation
-        self.same = np.sum(self.d2, axis=0) == 0
+        # identical rows are those at distance exactly 0, as in build_correlation;
+        # flat indices into an (N, N) array
+        self.same = np.flatnonzero(np.sum(self.d2, axis=0) == 0)
 
     def __call__(self, theta: np.ndarray):
-        # Everything over N^2 elements is elementwise: OpenBLAS threads even
-        # small products (a D-term tensordot, D + 1 gemv calls), and that cost
-        # the N = 115 SEM refits about 4x on two cores.
+        # Everything over N^2 elements is elementwise or a non-BLAS einsum:
+        # OpenBLAS threads even small products (a D-term tensordot, D + 1 gemv
+        # calls), and that cost the N = 115 SEM refits about 4x on two cores.
         inv_ls2 = np.exp(-2.0 * theta[:-1])
         nugget = np.exp(theta[-1])
-        scaled = self.d2 * inv_ls2[:, None, None]
-        K = np.exp(-np.sum(scaled, axis=0))
-        R = K + nugget * self.same
+        R = np.exp(-np.einsum("k,kij->ij", inv_ls2, self.d2))
+        R.flat[self.same] += nugget
         try:
             L, _ = _cholesky_with_jitter(R)
         except np.linalg.LinAlgError:
@@ -198,11 +199,14 @@ class _PreparedSEObjective:
         if quad <= 0:
             return np.inf, np.zeros_like(theta)
         nll = 0.5 * self.n * np.log(quad / self.n) + float(np.sum(np.log(np.diag(L))))
-        Rinv = chol_solve(L, np.eye(self.n))
-        W = Rinv - (self.n / quad) * np.outer(alpha, alpha)
+        W = chol_inverse(L)
+        W -= (self.n / quad) * np.outer(alpha, alpha)
         grad = np.empty_like(theta)
-        grad[:-1] = np.sum((W * K) * scaled, axis=(1, 2))
-        grad[-1] = 0.5 * nugget * float(np.sum(W[self.same]))
+        grad[-1] = 0.5 * nugget * float(np.sum(W.flat[self.same]))
+        # R is the kernel matrix plus the nugget where every d2 is 0, so it
+        # weighs the d2 terms as the kernel matrix does
+        W *= R
+        grad[:-1] = inv_ls2 * np.einsum("kij,ij->k", self.d2, W)
         return nll, grad
 
 

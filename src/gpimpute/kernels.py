@@ -13,7 +13,9 @@ the ESS likelihood, the fitted and refitted GPs and prediction all build R with
 :func:`_cholesky_with_jitter` and every solve against one from :func:`chol_solve`;
 both call LAPACK (``dpotrf``/``dpotrs``) directly, because the numpy and scipy
 wrappers cost more per call than the routine at the sizes SEM factors many
-thousands of times. The closed-form expectations in :func:`expect_k` and
+thousands of times. :func:`chol_solve` and :func:`chol_inverse` split their work
+into calls small enough that OpenBLAS runs them on the calling thread (see
+``SERIAL_SOLVE_SIZE``). The closed-form expectations in :func:`expect_k` and
 :func:`expect_kk` are derived for this convention and are validated against
 Gauss-Hermite quadrature and Monte Carlo in the test suite.
 """
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 from scipy.spatial.distance import cdist
 
 JITTER_START = 1e-10
@@ -108,23 +110,58 @@ class CorrelationMatrix:
         return chol_solve(self.chol, b)
 
     def inverse(self) -> np.ndarray:
-        return self.solve(np.eye(self.n))
+        return chol_inverse(self.chol)
+
+
+# OpenBLAS, the BLAS of numpy's and scipy's wheels (0.3.31 and 0.3.30 measured),
+# hands a call to its worker threads once it is this big: a triangular solve
+# once rows x right-hand sides reach 1024, a matrix product once m n k reaches
+# 2**19 (it gives each thread at least 2**18). SEM makes thousands of such calls
+# per window; threaded, each one waits on a worker thread, which a loaded host
+# may not be running. Below these sizes a call runs on the calling thread.
+SERIAL_SOLVE_SIZE = 1024
+SERIAL_PRODUCT_SIZE = 2**19
 
 
 def chol_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve (L L^T) x = b for x, with ``chol`` = L lower triangular; ``b`` is
-    (N,) or (N, K). No finiteness scan."""
-    return lapack.dpotrs(chol, b, lower=1)[0]
+    (N,) or (N, K). No finiteness scan. Columns of b are solved in blocks below
+    SERIAL_SOLVE_SIZE."""
+    step = max(1, (SERIAL_SOLVE_SIZE - 1) // max(chol.shape[0], 1))
+    if b.ndim == 1 or b.shape[1] <= step:
+        return lapack.dpotrs(chol, b, lower=1)[0]
+    x = np.empty(b.shape)
+    for j in range(0, b.shape[1], step):
+        x[:, j:j + step] = lapack.dpotrs(chol, b[:, j:j + step], lower=1)[0]
+    return x
+
+
+def chol_inverse(chol: np.ndarray) -> np.ndarray:
+    """R^-1 = L^-T L^-1 for ``chol`` = L, the lower Cholesky factor of R: one
+    triangular inverse, then the product in column blocks below
+    SERIAL_PRODUCT_SIZE. Column j of L^-1 is 0 above row j, so block j0 sums
+    over rows j0 onwards only."""
+    n = chol.shape[0]
+    Linv = lapack.dtrtri(chol, lower=1)[0]
+    step = max(1, (SERIAL_PRODUCT_SIZE - 1) // max(n * n, 1))
+    inv = np.empty((n, n))
+    for j in range(0, n, step):
+        # dgemm, not `@`: numpy sends Linv.T @ Linv to dsyrk, which OpenBLAS
+        # threads at far smaller sizes
+        inv[:, j:j + step] = blas.dgemm(1.0, Linv[j:], Linv[j:, j:j + step], trans_a=1)
+    return inv
 
 
 def _cholesky_with_jitter(R: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor L of R + jitter * I, with an exactly zero upper
-    triangle, and the jitter: 0 if R factors, else the first of 1e-10, 1e-9, ...
-    up to JITTER_MAX that does."""
+    """Lower Cholesky factor L of the symmetric R + jitter * I, with an exactly
+    zero upper triangle, and the jitter: 0 if R factors, else the first of 1e-10,
+    1e-9, ... up to JITTER_MAX that does."""
     jitter = 0.0
     while True:
-        L, info = lapack.dpotrf(R if jitter == 0.0 else R + jitter * np.eye(len(R)),
-                                lower=1, clean=1)
+        A = R if jitter == 0.0 else R + jitter * np.eye(len(R))
+        # A is symmetric, so A.T is A in the column-major order LAPACK reads,
+        # which f2py copies without transposing
+        L, info = lapack.dpotrf(A.T, lower=1, clean=1)
         if info == 0:
             return L, jitter
         jitter = JITTER_START if jitter == 0.0 else jitter * 10.0
@@ -146,7 +183,8 @@ def build_correlation(spec: KernelSpec, nugget: float, X: np.ndarray) -> Correla
     if nugget < 0 or not np.isfinite(nugget):
         raise ValueError("nugget must be finite and non-negative")
     d2 = scaled_sq_dist(spec, X, X)
-    R = np.exp(-d2) + nugget * (d2 == 0)
+    R = np.exp(-d2)
+    R[d2 == 0] += nugget
     L, jitter = _cholesky_with_jitter(R)
     return CorrelationMatrix(values=R, chol=L, jitter_applied=jitter)
 

@@ -12,6 +12,7 @@ from gpimpute.kernels import (
     SingularMatrixError,
     _cholesky_with_jitter,
     build_correlation,
+    chol_inverse,
     chol_solve,
     expect_k,
     expect_kk,
@@ -158,14 +159,49 @@ class TestCholeskyFactor:
         ref = np.linalg.cholesky(R + jitter * np.eye(4))
         assert np.linalg.norm(L - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("shape", [(40,), (40, 3)])
+    # (115, 20) is solved in blocks of columns
+    @pytest.mark.parametrize("shape", [(40,), (40, 3), (115, 20)])
     def test_chol_solve(self, shape):
-        R = self.correlation(40)
+        R = self.correlation(shape[0])
         L, _ = _cholesky_with_jitter(R)
         b = np.random.default_rng(2).standard_normal(shape)
         x = chol_solve(L, b)
         assert x.shape == shape
         assert np.allclose(R @ x, b, rtol=0, atol=1e-9)
+        ref = kernels.lapack.dpotrs(L, b, lower=1)[0]
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [1, 40, 80, 115])
+    def test_chol_inverse(self, n):
+        R = self.correlation(n)
+        L, _ = _cholesky_with_jitter(R)
+        inv = chol_inverse(L)
+        ref = kernels.lapack.dpotrs(L, np.eye(n), lower=1)[0]
+        assert np.linalg.norm(inv - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.allclose(R @ inv, np.eye(n), rtol=0, atol=1e-6)
+
+    def test_solve_and_inverse_calls_stay_below_threading_sizes(self, monkeypatch):
+        sizes = {"dpotrs": [], "dgemm": []}
+        dpotrs, dgemm = kernels.lapack.dpotrs, kernels.blas.dgemm
+
+        def record_dpotrs(chol, b, lower):
+            sizes["dpotrs"].append(chol.shape[0] * (1 if b.ndim == 1 else b.shape[1]))
+            return dpotrs(chol, b, lower=lower)
+
+        def record_dgemm(alpha, a, b, trans_a):
+            sizes["dgemm"].append(a.shape[1] * a.shape[0] * b.shape[1])
+            return dgemm(alpha, a, b, trans_a=trans_a)
+
+        monkeypatch.setattr(kernels.lapack, "dpotrs", record_dpotrs)
+        monkeypatch.setattr(kernels.blas, "dgemm", record_dgemm)
+        L, _ = _cholesky_with_jitter(self.correlation(115))
+        b = np.random.default_rng(4).standard_normal((115, 40))
+        assert np.allclose(L @ (L.T @ chol_solve(L, b)), b, rtol=0, atol=1e-8)
+        chol_inverse(L)
+        assert len(sizes["dpotrs"]) > 1 and len(sizes["dgemm"]) > 1
+        # the sizes at which OpenBLAS 0.3.30/0.3.31 start worker threads
+        assert max(sizes["dpotrs"]) < 1024
+        assert max(sizes["dgemm"]) < 2**19
 
     def test_unfactorable_scores_minus_inf(self, monkeypatch):
         # with the ladder capped below its first rung, identical rows cannot be
