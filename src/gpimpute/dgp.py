@@ -355,9 +355,9 @@ def train_sem(
     def fit_node(Xn, yn, name):
         return guarded("initial fit failed", name, fit_gp, Xn, yn, config.fit)
 
-    def refit_node(Xn, yn, init, name, it):
+    def refit_node(Xn, yn, init, hess_inv, name, it):
         return guarded(f"refit failed at iteration {it}", name, refit_gp, Xn, yn, init,
-                       config.refit_max_iter, config.fit)
+                       config.refit_max_iter, config.fit, hess_inv)
 
     if latent_mask.all():
         # E-step is a no-op: independent per-node ML fits, identical latents per draw
@@ -400,14 +400,18 @@ def train_sem(
     for it in range(config.iterations):
         for _ in range(config.ess_sweeps):
             state.sweep(rng)
-        new_first = [refit_node(X, state.w[:, p], state.first_hyper[p], latent_names[p], it).hyper
-                     for p in range(P)]
-        m2 = refit_node(state.w, y, state.second_hyper, arch.output_node.name, it)
-        state.set_hyperparams(new_first, m2.hyper)
+        # each node's refit starts from the curvature of that node's previous fit
+        first_models = [refit_node(X, state.w[:, p], state.first_hyper[p],
+                                   first_models[p].hess_inv, latent_names[p], it)
+                        for p in range(P)]
+        second_model = refit_node(state.w, y, state.second_hyper, second_model.hess_inv,
+                                  arch.output_node.name, it)
+        new_first = [m.hyper for m in first_models]
+        state.set_hyperparams(new_first, second_model.hyper)
         if it >= config.burn_in:
             for p in range(P):
                 first_trace[p].append(new_first[p])
-            second_trace.append(m2.hyper)
+            second_trace.append(second_model.hyper)
 
     if second_trace:
         final_first = [_geometric_mean_hyper(first_trace[p]) for p in range(P)]

@@ -178,10 +178,14 @@ def build_correlation(spec: KernelSpec, nugget: float, X: np.ndarray) -> Correla
     identical rows, not just the diagonal, i.e. wherever the scaled distance is
     exactly 0. The SEM sampler's likelihood and every fitted GP use this matrix;
     the likelihood objective in ``gp`` rebuilds it from its own distances with
-    the same indicator.
+    the same indicator. Non-finite inputs raise ValueError: LAPACK would
+    factor their NaN rows without reporting a failure.
     """
     if nugget < 0 or not np.isfinite(nugget):
         raise ValueError("nugget must be finite and non-negative")
+    X = np.asarray(X, dtype=float)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("correlation inputs are not finite")
     d2 = scaled_sq_dist(spec, X, X)
     R = np.exp(-d2)
     R[d2 == 0] += nugget

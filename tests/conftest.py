@@ -1,4 +1,8 @@
+import numpy as np
 import pytest
+from scipy.optimize import minimize
+
+from gpimpute.gp import _PreparedSEObjective
 
 _acceptance: dict[str, bool] = {}
 
@@ -19,3 +23,16 @@ def pytest_terminal_summary(terminalreporter):
     for name in sorted(_acceptance):
         status = "PASS" if _acceptance[name] else "FAIL"
         terminalreporter.write_line(f"  {name}: {status}")
+
+
+@pytest.fixture
+def lbfgsb():
+    """scipy's L-BFGS-B on the profiled NLL from ``theta0`` in the box [lo, hi]:
+    the reference the package's optimizer is checked against."""
+
+    def run(X, y, theta0, lo, hi, max_iter):
+        return minimize(_PreparedSEObjective(X, np.ravel(y)), theta0, jac=True,
+                        method="L-BFGS-B", bounds=list(zip(lo, hi)),
+                        options={"maxiter": max_iter})
+
+    return run

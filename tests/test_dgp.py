@@ -23,9 +23,12 @@ from gpimpute.dgp import (
     train_sem,
 )
 from gpimpute.gp import (
+    NUGGET_FLOOR,
     FitConfig,
     GPHyperparams,
     PredictiveGaussian,
+    _log_bounds,
+    _PreparedSEObjective,
     fit_gp,
     log_marginal_likelihood,
     make_fitted_gp,
@@ -270,6 +273,38 @@ class TestTrainSEM:
         for hyper in em.first_hyper:
             ls = hyper.kernel.lengthscales[0]
             assert lo * span * (1 - 1e-12) <= ls <= hi * span * (1 + 1e-12)
+
+    @pytest.mark.parametrize("length", [40, 115])
+    def test_refits_carry_curvature_and_match_lbfgsb(self, monkeypatch, lbfgsb, length):
+        # the first-layer (D = 1) and second-layer (D = 3) refits SEM makes
+        cfg = SyntheticConfig(min_length=length, max_length=length)
+        table = generate_synthetic_window(cfg, np.random.default_rng(length)).table
+        table = apply_mask(table, make_mask_plan(table, 0.3, table.covariate_names, seed=1))
+        calls = []
+        refit = dgp.refit_gp
+
+        def spy(X, y, init, max_iter, config, hess_inv0):
+            model = refit(X, y, init, max_iter, config, hess_inv0)
+            calls.append((np.array(X), np.array(y), init, max_iter, config, hess_inv0, model))
+            return model
+
+        monkeypatch.setattr(dgp, "refit_gp", spy)
+        train_sem(table, small_arch(), FAST_SEM, 0)
+        nodes = 4  # three latent nodes, then the output node, per iteration
+        assert len(calls) == FAST_SEM.iterations * nodes
+        for k, (X, y, init, max_iter, config, hess_inv0, model) in enumerate(calls):
+            # a node's first refit starts from its initial fit's curvature, later
+            # ones from its previous refit's
+            assert hess_inv0 is not None
+            if k >= nodes:
+                assert hess_inv0 is calls[k - nodes][6].hess_inv
+            lo, hi = _log_bounds(X, config)
+            t0 = np.clip(np.append(np.log(init.kernel.lengthscales),
+                                   np.log(max(init.nugget, NUGGET_FLOOR))), lo, hi)
+            oracle = lbfgsb(X, y, t0, lo, hi, max_iter)
+            theta = np.append(np.log(model.hyper.kernel.lengthscales), np.log(model.hyper.nugget))
+            nll = _PreparedSEObjective(X, y)(theta)[0]
+            assert nll <= oracle.fun + 1e-8 * abs(oracle.fun)
 
     def test_manifest_deterministic(self):
         table = masked_window(seed=6)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from gpimpute import gp, kernels
 from gpimpute.gp import (
     DegenerateDataError,
     FitConfig,
+    FitFailureError,
     GPHyperparams,
+    _log_bounds,
+    _minimize_nll,
     _PreparedSEObjective,
     fit_gp,
     log_marginal_likelihood,
@@ -23,6 +27,21 @@ def se_hyper(l, scale=1.0, nugget=0.0):
 def sample_gp(rng, X, l, scale, nugget):
     corr = build_correlation(KernelSpec(np.atleast_1d(l)), nugget, X)
     return np.sqrt(scale) * (corr.chol @ rng.standard_normal(len(X)))
+
+
+def log_theta(hyper):
+    return np.append(np.log(hyper.kernel.lengthscales), np.log(hyper.nugget))
+
+
+def drifting_outputs(n, d, steps, seed):
+    """Inputs and steps + 1 outputs, each the last plus a little noise: the
+    problems that successive SEM refits of one node solve."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0, 1, (n, d))
+    ys = [sample_gp(rng, X, [0.4] * d, 1.0, 0.01)]
+    for _ in range(steps):
+        ys.append(ys[-1] + 0.05 * rng.standard_normal(n))
+    return X, ys
 
 
 class TestFit:
@@ -116,6 +135,109 @@ class TestFit:
         model = refit_gp(X, y, se_hyper(0.1, 1.0, 1e-6), max_iter=50, config=config)
         assert 0.5 * (1 - 1e-12) <= model.hyper.kernel.lengthscales[0] <= 0.6 * (1 + 1e-12)
         assert 1e-3 * (1 - 1e-12) <= model.hyper.nugget <= 1e-2 * (1 + 1e-12)
+
+
+class TestOptimizer:
+    """The projected BFGS behind fit_gp and refit_gp, against scipy's L-BFGS-B
+    (the ``lbfgsb`` fixture)."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n, d", [(40, 1), (30, 3)])
+    def test_best_of_starts_matches_lbfgsb(self, monkeypatch, lbfgsb, n, d, seed):
+        X, (y,) = drifting_outputs(n, d, 0, seed)
+        starts = []
+        minimize = gp.minimize
+
+        def spy(fun, x0, **kwargs):
+            starts.append((np.array(x0), np.array(kwargs["bounds"])))
+            return minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(gp, "minimize", spy)
+        config = FitConfig(seed=seed)
+        model = fit_gp(X, y, config)
+        assert len(starts) == config.n_starts
+        oracle = min(lbfgsb(X, y, t0, *bounds.T, config.max_iter).fun for t0, bounds in starts)
+        nll = _PreparedSEObjective(X, y)(log_theta(model.hyper))[0]
+        assert nll == pytest.approx(oracle, rel=1e-6, abs=1e-6)
+
+    @pytest.mark.parametrize("n, d", [(40, 1), (115, 1), (40, 3), (115, 3)])
+    def test_carried_curvature_same_optimum_fewer_evaluations(self, lbfgsb, n, d):
+        X, ys = drifting_outputs(n, d, 6, seed=n + d)
+        config = FitConfig()
+        lo, hi = _log_bounds(X, config)
+        first = fit_gp(X, ys[0], config)
+        theta, hess_inv = log_theta(first.hyper), first.hess_inv
+        carried_evals = fresh_evals = 0
+        for y in ys[1:]:
+            carried = _minimize_nll(_PreparedSEObjective(X, y), theta, list(zip(lo, hi)), 50,
+                                    hess_inv)
+            fresh = _minimize_nll(_PreparedSEObjective(X, y), theta, list(zip(lo, hi)), 50)
+            oracle = lbfgsb(X, y, theta, lo, hi, 50)
+            assert carried.fun <= oracle.fun + 1e-8 * abs(oracle.fun)
+            assert carried.fun == pytest.approx(fresh.fun, rel=1e-7)
+            carried_evals += carried.nfev
+            fresh_evals += fresh.nfev
+            theta, hess_inv = carried.x, carried.hess_inv
+        assert carried_evals < fresh_evals
+
+    def test_refit_model_is_the_rebuilt_model(self):
+        # the refit's model comes from the optimizer's own factor, not a rebuild
+        X, (y0, y1) = drifting_outputs(40, 3, 1, seed=5)
+        first = fit_gp(X, y0)
+        model = refit_gp(X, y1, first.hyper, hess_inv0=first.hess_inv)
+        ref = make_fitted_gp(X, y1, model.hyper)
+        assert model.hyper.scale == pytest.approx(y1 @ ref.alpha / 40, rel=1e-10)
+        np.testing.assert_allclose(model.corr.values, ref.corr.values, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(model.alpha, ref.alpha, rtol=1e-8)
+        X0 = np.random.default_rng(6).uniform(0, 1, (5, 3))
+        for got, want in zip(predict_batch(model, X0), predict_batch(ref, X0)):
+            np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-12)
+
+    def test_active_bounds_hold_exactly(self):
+        # the data want a shorter lengthscale and a smaller nugget than the box allows
+        X = np.linspace(0, 1, 30)[:, None]
+        y = np.sin(12.0 * X[:, 0])
+        lo, hi = _log_bounds(X, FitConfig(lengthscale_range=(0.5, 0.6), nugget_bounds=(1e-3, 1e-2)))
+        res = _minimize_nll(_PreparedSEObjective(X, y), np.log([0.55, 3e-3]), list(zip(lo, hi)), 50)
+        assert res.success
+        assert np.array_equal(res.x, lo)
+
+    def test_unfactorable_start_returns_without_error(self, monkeypatch):
+        # identical rows with the jitter ladder capped: R cannot be factored anywhere
+        monkeypatch.setattr(kernels, "JITTER_MAX", 0.0)
+        X = np.array([[0.2], [0.2], [0.7]])
+        y = np.array([0.1, -0.4, 0.3])
+        lo, hi = _log_bounds(X, FitConfig())
+        res = _minimize_nll(_PreparedSEObjective(X, y), np.log([0.5, 1e-3]), list(zip(lo, hi)), 50)
+        assert res.fun == np.inf and not res.success and res.nfev == 1
+        with pytest.raises(FitFailureError, match="no finite objective"):
+            refit_gp(X, y, se_hyper(0.5, nugget=1e-3))
+
+    def test_non_finite_trial_is_a_failed_step(self):
+        X, (y,) = drifting_outputs(40, 1, 0, seed=3)
+        objective = _PreparedSEObjective(X, y)
+        lo, hi = _log_bounds(X, FitConfig())
+        start = np.log([0.05, 1e-2])
+        free = _minimize_nll(objective, start, list(zip(lo, hi)), 50)
+        cap = 0.5 * (start[0] + free.x[0])  # between the start and the optimum
+
+        def capped(theta):
+            return (np.inf, np.zeros_like(theta)) if theta[0] > cap else objective(theta)
+
+        res = _minimize_nll(capped, start, list(zip(lo, hi)), 50)
+        assert np.isfinite(res.fun) and res.x[0] <= cap
+        assert res.fun < objective(start)[0]
+
+    def test_result_fields_read_by_the_tracer(self):
+        X, (y,) = drifting_outputs(25, 2, 0, seed=7)
+        lo, hi = _log_bounds(X, FitConfig())
+        res = _minimize_nll(_PreparedSEObjective(X, y), np.log([0.3, 0.3, 1e-2]),
+                            list(zip(lo, hi)), 50)
+        assert type(res.nfev) is int and type(res.nit) is int and type(res.success) is bool
+        assert res.success and res.nfev > res.nit > 0
+        assert res.hess_inv.shape == (3, 3)
+        assert np.allclose(res.hess_inv, res.hess_inv.T)
+        assert np.all(np.linalg.eigvalsh(res.hess_inv) > 0)
 
 
 class TestOutputColumns:

@@ -131,6 +131,13 @@ class TestBuildCorrelation:
         with pytest.raises(SingularMatrixError, match="0.0001"):
             _cholesky_with_jitter(bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_raise(self, bad):
+        # LAPACK factors a NaN row with info == 0, which would hand the ESS a NaN
+        # likelihood; the error must name the cause and be a fit error
+        with pytest.raises(ValueError, match="inputs are not finite"):
+            build_correlation(se(1.0), 0.1, np.array([[0.0], [bad], [1.0]]))
+
 
 class TestCholeskyFactor:
     """The LAPACK factor: what ESS, the refit objective and prediction rely on."""
