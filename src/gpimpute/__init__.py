@@ -70,8 +70,6 @@ from .kernels import (
 from .linked import (
     LayerArchitecture,
     LinkedEmulator,
-    NodeSpec,
-    fit_sequential_lgp,
     link_predict,
     propagate_moments,
 )

@@ -17,7 +17,6 @@ class MethodTag(enum.Enum):
     LOCF = "locf"
     MICE = "mice"
     GP = "gp"
-    LGP = "lgp"
     DGPSI = "dgpsi"
 
 

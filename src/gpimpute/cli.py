@@ -13,7 +13,7 @@ it. An unknown key or a bad value stops ``run`` before any cell runs. Schema
 
   {
     "mode": "predict-output" | "impute-covariates",
-    "methods": ["locf", "mice", "gp", "lgp", "dgpsi"],
+    "methods": ["locf", "mice", "gp", "dgpsi"],
     "proportions": [0.1, 0.2, 0.3, 0.4],
     "n_windows": 14,
     "seed": 0,

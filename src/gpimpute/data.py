@@ -329,6 +329,10 @@ class SyntheticConfig:
     output_name: str = "ph"
     covariate_names: tuple[str, str, str] = ("pco2", "sid", "lactate")
 
+    def __post_init__(self):
+        if not 1 <= self.min_length <= self.max_length:
+            raise ValueError("min_length and max_length must satisfy 1 <= min_length <= max_length")
+
     def readout(self, latents: np.ndarray) -> np.ndarray:
         """Noiseless output as a function of the (N, 3) latent matrix."""
         if self.readout_nonlinearity == "tanh":

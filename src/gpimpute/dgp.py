@@ -36,7 +36,7 @@ from .kernels import (
     build_correlation,
     chol_solve,
 )
-from .linked import LayerArchitecture, NodeSpec, _latent_predictions, _propagated_gaussian
+from .linked import LayerArchitecture, _latent_predictions, _propagated_gaussian
 
 ESS_BRACKET_MIN = 1e-12
 # What a fit can raise on data it cannot model; anything else is a programming error.
@@ -298,8 +298,8 @@ class DGPSIEmulator:
             }
 
         return {
-            "latent_nodes": [n.name for n in self.architecture.latent_nodes],
-            "output_node": self.architecture.output_node.name,
+            "latent_nodes": list(self.architecture.latent_nodes),
+            "output_node": self.architecture.output_node,
             "first_layer": [hyper_entry(h) for h in self.first_hyper],
             "second_layer": hyper_entry(self.second_hyper),
             "n_imputations": self.n_imputations,
@@ -339,7 +339,7 @@ def train_sem(
     rows = data.mask[:, out_j]
     X = data.times[rows, None]
     y = data.values[rows, out_j]
-    latent_names = [n.name for n in arch.latent_nodes]
+    latent_names = arch.latent_nodes
     latent_idx = [data.col_index(c) for c in latent_names]
     latent_obs = data.values[np.ix_(np.where(rows)[0], latent_idx)]
     latent_mask = data.mask[np.ix_(np.where(rows)[0], latent_idx)]
@@ -362,7 +362,7 @@ def train_sem(
     if latent_mask.all():
         # E-step is a no-op: independent per-node ML fits, identical latents per draw
         first_hyper = [fit_node(X, latent_obs[:, p], latent_names[p]).hyper for p in range(P)]
-        second_hyper = fit_node(latent_obs, y, arch.output_node.name).hyper
+        second_hyper = fit_node(latent_obs, y, arch.output_node).hyper
         imputations = [
             LayerImputation(values=latent_obs.copy(),
                             fixed_mask=np.ones_like(latent_mask), draw_index=i)
@@ -386,7 +386,7 @@ def train_sem(
         if miss.any():
             mean, _ = predict_batch(m, X[miss])
             init_w[miss, p] = mean
-    second_model = fit_node(init_w, y, arch.output_node.name)
+    second_model = fit_node(init_w, y, arch.output_node)
 
     state = LatentState(
         X=X, y=y, latent_obs=latent_obs, latent_mask=latent_mask,
@@ -405,7 +405,7 @@ def train_sem(
                                    first_models[p].hess_inv, latent_names[p], it)
                         for p in range(P)]
         second_model = refit_node(state.w, y, state.second_hyper, second_model.hess_inv,
-                                  arch.output_node.name, it)
+                                  arch.output_node, it)
         new_first = [m.hyper for m in first_models]
         state.set_hyperparams(new_first, second_model.hyper)
         if it >= config.burn_in:
@@ -456,20 +456,8 @@ def impute_covariates(em: DGPSIEmulator, query_times, target: str) -> list[Ensem
 def save_emulator(em: DGPSIEmulator, directory: str):
     """Persist an emulator as a manifest JSON plus flat CSV payloads."""
     os.makedirs(directory, exist_ok=True)
-    manifest = em.manifest()
-    manifest["architecture"] = {
-        "input_dims": em.architecture.input_dims,
-        "latent_kernels": [
-            {"name": n.name, "lengthscales": n.kernel.lengthscales.tolist()}
-            for n in em.architecture.latent_nodes
-        ],
-        "output_kernel": {
-            "name": em.architecture.output_node.name,
-            "lengthscales": em.architecture.output_node.kernel.lengthscales.tolist(),
-        },
-    }
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(em.manifest(), fh, indent=2, sort_keys=True)
     np.savetxt(os.path.join(directory, "training_inputs.csv"), em.train_X, delimiter=",")
     np.savetxt(os.path.join(directory, "training_outputs.csv"), em.train_y, delimiter=",")
     values = np.stack([imp.values for imp in em.imputations])  # (S, N, P)
@@ -494,16 +482,12 @@ def _saved_kernel(entry: dict) -> KernelSpec:
 
 
 def load_emulator(directory: str) -> DGPSIEmulator:
+    """Rebuild a saved emulator. The node names come from the manifest's
+    ``latent_nodes``/``output_node``; an ``architecture`` entry, which older
+    manifests carry, is not read."""
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
-    arch_info = manifest["architecture"]
-    latent_nodes = tuple(NodeSpec(e["name"], _saved_kernel(e)) for e in arch_info["latent_kernels"])
-    ok = arch_info["output_kernel"]
-    arch = LayerArchitecture(
-        input_dims=arch_info["input_dims"],
-        latent_nodes=latent_nodes,
-        output_node=NodeSpec(ok["name"], _saved_kernel(ok)),
-    )
+    arch = LayerArchitecture(tuple(manifest["latent_nodes"]), manifest["output_node"])
     first_hyper = [
         GPHyperparams(kernel=_saved_kernel(e), scale=e["scale"], nugget=e["nugget"])
         for e in manifest["first_layer"]

@@ -6,8 +6,7 @@ Two modes mirror the two benchmark experiments:
 * ``predict-output``: mask the output column; at inference every method sees
   time only.
 * ``impute-covariates``: mask the covariate columns; the output stays fully
-  observed and links the covariates. The sequential linked GP degenerates to
-  independent GPs here and is therefore excluded from this mode.
+  observed and links the covariates.
 
 MAE is reported in standardised units (original-unit MAE is also emitted via
 the inverse z-score record). Standard errors are across windows.
@@ -42,8 +41,7 @@ from .data import (
 )
 from .dgp import FIT_ERRORS, SEMConfig, impute_covariates, predict_ensemble, train_sem
 from .gp import FitConfig
-from .kernels import KernelSpec
-from .linked import LayerArchitecture, NodeSpec, fit_sequential_lgp, link_predict_batch
+from .linked import LayerArchitecture
 
 MODE_PREDICT_OUTPUT = "predict-output"
 MODE_IMPUTE_COVARIATES = "impute-covariates"
@@ -77,11 +75,20 @@ class ExperimentConfig:
         bad = [m for m in self.methods if m not in {t.value for t in MethodTag}]
         if bad:
             raise ValueError(f"unknown methods: {bad}")
+        if not self.methods or len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"methods must be non-empty and unique, got {list(self.methods)}")
+        if not self.proportions or not all(0 < p < 1 for p in self.proportions):
+            raise ValueError(f"proportions must be non-empty and lie in (0, 1), "
+                             f"got {list(self.proportions)}")
+        if self.n_windows < 1:
+            raise ValueError("n_windows must be >= 1")
 
 
 @dataclass
 class CellPrediction:
     window: int
+    method: str
+    proportion: float
     time: float
     variable: str
     mean: float
@@ -162,10 +169,8 @@ def evaluate_mae_original(
 
 
 def default_architecture(table: ObservationTable) -> LayerArchitecture:
-    """Time -> one latent node per covariate -> output node, SE kernels."""
-    latents = tuple(NodeSpec(c, KernelSpec(np.array([0.2]))) for c in table.covariate_names)
-    out = NodeSpec(table.output_name, KernelSpec(np.ones(len(latents))))
-    return LayerArchitecture(input_dims=1, latent_nodes=latents, output_node=out)
+    """Time -> one latent node per covariate -> output node."""
+    return LayerArchitecture(tuple(table.covariate_names), table.output_name)
 
 
 def _derived_seed(*parts: int) -> int:
@@ -194,38 +199,19 @@ def _run_method_predict_output(
         # experiment-1 constraint: time and output only
         mc = dataclasses.replace(config.mice, seed=seed)
         return mice_impute(table, mc, columns=[out_name])
-    arch = default_architecture(table)
+    if method != "dgpsi":
+        raise ValueError(f"unknown method: {method!r}")
     out_j = table.col_index(out_name)
     miss_rows = np.array(sorted({i for i, j in plan_cells}))
     filled = table.copy()
     variance = np.full_like(table.values, np.nan)
-    if method == "lgp":
-        cov_idx = [table.col_index(c) for c in table.covariate_names]
-        em = fit_sequential_lgp(
-            table.times[:, None],
-            table.values[:, cov_idx],
-            table.mask[:, cov_idx],
-            table.values[:, out_j],
-            arch,
-            config.fit,
-            y_mask=table.mask[:, out_j],
-        )
-        mean, var = link_predict_batch(em, table.times[miss_rows, None])
-        tag = MethodTag.LGP
-    elif method == "dgpsi":
-        em = train_sem(table, arch, config.sem, seed)
-        mean = np.empty(miss_rows.size)
-        var = np.empty(miss_rows.size)
-        for k, i in enumerate(miss_rows):
-            pred = predict_ensemble(em, [table.times[i]])
-            mean[k], var[k] = pred.mixture.mean, pred.mixture.variance
-        tag = MethodTag.DGPSI
-    else:
-        raise ValueError(f"method {method!r} not available in mode {config.mode!r}")
-    filled.values[miss_rows, out_j] = mean
-    variance[miss_rows, out_j] = var
+    em = train_sem(table, default_architecture(table), config.sem, seed)
+    for i in miss_rows:
+        pred = predict_ensemble(em, [table.times[i]])
+        filled.values[i, out_j] = pred.mixture.mean
+        variance[i, out_j] = pred.mixture.variance
     filled.mask[miss_rows, out_j] = True
-    return ImputationMethodResult(filled=filled, variance=variance, method_tag=tag)
+    return ImputationMethodResult(filled=filled, variance=variance, method_tag=MethodTag.DGPSI)
 
 
 def _run_method_impute_covariates(
@@ -266,11 +252,6 @@ def _run_method_impute_covariates(
             variance[miss, j] = [p.mixture.variance for p in preds]
             filled.mask[:, j] = True
         return ImputationMethodResult(filled=filled, variance=variance, method_tag=MethodTag.DGPSI)
-    if method == "lgp":
-        raise ValueError(
-            "the sequential linked GP degenerates to independent GPs when imputing "
-            "covariates and is excluded from this mode"
-        )
     raise ValueError(f"unknown method: {method!r}")
 
 
@@ -282,9 +263,6 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
     Deterministic: all RNG streams derive from ``config.seed``.
     """
     methods = list(config.methods)
-    if config.mode == MODE_IMPUTE_COVARIATES and "lgp" in methods:
-        methods = [m for m in methods if m != "lgp"]
-
     windows = []
     for w in range(config.n_windows):
         rng = np.random.default_rng(_derived_seed(config.seed, w, 1))
@@ -333,6 +311,8 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
                     predictions.append(
                         CellPrediction(
                             window=w,
+                            method=method,
+                            proportion=prop,
                             time=float(std_truth.times[i]),
                             variable=std_truth.names[j],
                             mean=float(result.filled.values[i, j]),
@@ -409,11 +389,10 @@ def write_results_csv(report: EvaluationReport, path: str):
 
 def write_predictions_csv(report: EvaluationReport, path: str):
     with open(path, "w") as fh:
-        fh.write("window,time,variable,mean,variance,truth,masked\n")
+        fh.write("window,method,proportion,time,variable,mean,variance,truth,masked\n")
         for p in report.predictions:
-            fh.write(
-                f"{p.window},{p.time!r},{p.variable},{p.mean!r},{p.variance!r},{p.truth!r},1\n"
-            )
+            fh.write(f"{p.window},{p.method},{float(p.proportion)!r},{p.time!r},{p.variable},"
+                     f"{p.mean!r},{p.variance!r},{p.truth!r},1\n")
 
 
 def write_report(report: EvaluationReport, out_dir: str):

@@ -59,9 +59,7 @@ class DegenerateDataError(ValueError):
 
 
 class FitFailureError(RuntimeError):
-    def __init__(self, msg, best_so_far=None):
-        super().__init__(msg)
-        self.best_so_far = best_so_far
+    pass
 
 
 @dataclass(frozen=True)
@@ -117,10 +115,6 @@ class TrainingSet:
     @property
     def n(self) -> int:
         return self.X.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.X.shape[1]
 
 
 @dataclass(frozen=True)
@@ -186,11 +180,9 @@ class _PreparedSEObjective:
     fitted model needs no second factorisation."""
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
-        self.X = X
         self.y = y
         self.n = X.shape[0]
-        self.d = X.shape[1]
-        self.d2 = np.stack([(X[:, k, None] - X[None, :, k]) ** 2 for k in range(self.d)])
+        self.d2 = np.stack([(X[:, k, None] - X[None, :, k]) ** 2 for k in range(X.shape[1])])
         # identical rows are those at distance exactly 0, as in build_correlation;
         # flat indices into an (N, N) array
         self.same = np.flatnonzero(np.sum(self.d2, axis=0) == 0)

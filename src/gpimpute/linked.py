@@ -18,69 +18,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gp import FitConfig, FittedGP, PredictiveGaussian, fit_gp, predict_batch
-from .kernels import KernelSpec, expect_k, expect_kk_pairwise
-
-
-class SequentialFitError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class NodeSpec:
-    name: str
-    kernel: KernelSpec
+from .gp import FittedGP, PredictiveGaussian, predict_batch
+from .kernels import expect_k, expect_kk_pairwise
 
 
 @dataclass(frozen=True)
 class LayerArchitecture:
-    """Feed-forward topology: D inputs -> P latent nodes -> one output node."""
+    """Feed-forward topology: inputs -> P named latent nodes -> one output node.
+    The names are the data columns each node is trained on."""
 
-    input_dims: int
-    latent_nodes: tuple[NodeSpec, ...]
-    output_node: NodeSpec
+    latent_nodes: tuple[str, ...]
+    output_node: str
 
     def __post_init__(self):
-        names = [n.name for n in self.latent_nodes]
         if len(self.latent_nodes) < 1:
             raise ValueError("need at least one latent node")
-        if len(set(names)) != len(names):
+        if len(set(self.latent_nodes)) != len(self.latent_nodes):
             raise ValueError("latent node names must be unique")
-        if self.output_node.kernel.ndim != len(self.latent_nodes):
-            raise ValueError("output node kernel must consume exactly the latent outputs")
 
     @property
     def n_latent(self) -> int:
         return len(self.latent_nodes)
 
     def latent_index(self, name: str) -> int:
-        for i, node in enumerate(self.latent_nodes):
-            if node.name == name:
-                return i
-        raise KeyError(f"unknown latent node: {name!r}")
+        if name not in self.latent_nodes:
+            raise KeyError(f"unknown latent node: {name!r}")
+        return self.latent_nodes.index(name)
 
 
 @dataclass(frozen=True)
 class LinkedEmulator:
     first_layer: list[FittedGP]  # one per latent node, shared training inputs
     second_layer: FittedGP  # latents -> output, trained on the (N, P) latent values
-
-    def manifest(self) -> dict:
-        """Reproducibility record: hyperparameters, sizes, jitter."""
-
-        def node_entry(m: FittedGP) -> dict:
-            return {
-                "lengthscales": m.hyper.kernel.lengthscales.tolist(),
-                "scale": m.hyper.scale,
-                "nugget": m.hyper.nugget,
-                "n_train": m.n,
-                "jitter_applied": m.corr.jitter_applied,
-            }
-
-        return {
-            "first_layer": [node_entry(m) for m in self.first_layer],
-            "second_layer": node_entry(self.second_layer),
-        }
 
 
 def _latent_predictions(first_layer: list[FittedGP],
@@ -128,50 +97,3 @@ def link_predict(em: LinkedEmulator, x0) -> PredictiveGaussian:
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     means, variances = _latent_predictions(em.first_layer, x0[None, :])
     return _propagated_gaussian(em.second_layer, means[0], variances[0])
-
-
-def link_predict_batch(em: LinkedEmulator, X0) -> tuple[np.ndarray, np.ndarray]:
-    X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-    means, variances = _latent_predictions(em.first_layer, X0)
-    Rinv = em.second_layer.corr.inverse()
-    preds = [_propagated_gaussian(em.second_layer, means[i], variances[i], Rinv)
-             for i in range(X0.shape[0])]
-    return np.array([p.mean for p in preds]), np.array([p.variance for p in preds])
-
-
-def fit_sequential_lgp(
-    X,
-    latent_obs: np.ndarray,
-    latent_mask: np.ndarray,
-    y,
-    arch: LayerArchitecture,
-    config: FitConfig = FitConfig(),
-    y_mask=None,
-) -> LinkedEmulator:
-    """Complete-case sequential fit: each latent column on its observed rows,
-    then the output GP on rows where every latent (and the output) is observed.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    latent_obs = np.asarray(latent_obs, dtype=float)
-    latent_mask = np.asarray(latent_mask, dtype=bool)
-    y = np.asarray(y, dtype=float).ravel()
-    P = arch.n_latent
-    if latent_obs.shape != (X.shape[0], P) or latent_mask.shape != latent_obs.shape:
-        raise ValueError("latent observations/mask must be (N, P)")
-
-    first_layer = []
-    for p in range(P):
-        obs = latent_mask[:, p]
-        if np.sum(obs) < 2:
-            raise SequentialFitError(
-                f"latent column {arch.latent_nodes[p].name!r} has fewer than 2 observed values"
-            )
-        first_layer.append(fit_gp(X[obs], latent_obs[obs, p], config))
-
-    complete = np.all(latent_mask, axis=1)
-    if y_mask is not None:
-        complete &= np.asarray(y_mask, dtype=bool)
-    if np.sum(complete) < 2:
-        raise SequentialFitError("fewer than 2 complete rows for the output layer")
-    second = fit_gp(latent_obs[complete], y[complete], config)
-    return LinkedEmulator(first_layer=first_layer, second_layer=second)

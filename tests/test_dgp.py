@@ -35,19 +35,15 @@ from gpimpute.gp import (
     predict_batch,
 )
 from gpimpute.kernels import KernelSpec
-from gpimpute.linked import LayerArchitecture, LinkedEmulator, NodeSpec, link_predict
+from gpimpute.linked import LayerArchitecture, LinkedEmulator, link_predict
 
 
 def se_spec(*lengthscales):
     return KernelSpec(np.array(lengthscales, dtype=float))
 
 
-def small_arch(p=3, names=("pco2", "sid", "lactate")):
-    return LayerArchitecture(
-        input_dims=1,
-        latent_nodes=tuple(NodeSpec(names[j], se_spec(1.0)) for j in range(p)),
-        output_node=NodeSpec("ph", se_spec(*([1.0] * p))),
-    )
+def small_arch():
+    return LayerArchitecture(("pco2", "sid", "lactate"), "ph")
 
 
 FAST_SEM = SEMConfig(
@@ -391,8 +387,12 @@ class TestPersistence:
         save_emulator(em, str(tmp_path / "em"))
         lines = (tmp_path / "em" / "imputations.csv").read_text().splitlines()
         assert lines[0] == "draw,row,col,value,fixed"
+        saved = json.loads((tmp_path / "em" / "manifest.json").read_text())
+        assert saved == json.loads(json.dumps(em.manifest()))
+        assert "architecture" not in saved
         back = load_emulator(str(tmp_path / "em"))
         assert back.manifest() == em.manifest()
+        assert back.architecture == em.architecture
         for a, b in zip(em.imputations, back.imputations, strict=True):
             assert a.draw_index == b.draw_index
             assert np.array_equal(a.values, b.values)
@@ -419,11 +419,19 @@ class TestPersistence:
                     output_family="squared_exponential"):
         """Save an emulator with keys that older manifests carried: per-entry
         kernel family keys, from when the package had a second kernel family,
-        and the linked-prediction clamp count."""
+        the linked-prediction clamp count, and an architecture section with
+        per-node kernels that loading never read."""
         em = train_sem(masked_window(seed=11), small_arch(), FAST_SEM, 4)
         path = tmp_path / "em"
         save_emulator(em, str(path))
         man = json.loads((path / "manifest.json").read_text())
+        man["architecture"] = {
+            "input_dims": 1,
+            "latent_kernels": [{"name": name, "lengthscales": [0.2]}
+                               for name in man["latent_nodes"]],
+            "output_kernel": {"name": man["output_node"],
+                              "lengthscales": [1.0] * len(man["latent_nodes"])},
+        }
         for entry in man["first_layer"] + man["architecture"]["latent_kernels"]:
             entry["family"] = first_family
         for entry in (man["second_layer"], man["architecture"]["output_kernel"]):
@@ -436,6 +444,7 @@ class TestPersistence:
         em, path = self.legacy_save(tmp_path)
         back = load_emulator(str(path))
         assert back.manifest() == em.manifest()
+        assert back.architecture == em.architecture
         assert predict_ensemble(back, [0.4]) == predict_ensemble(em, [0.4])
 
     @pytest.mark.parametrize("layer", ["first", "output"])

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -72,9 +73,8 @@ class TestDefaultArchitecture:
 
         table = generate_synthetic_window(SyntheticConfig(), rng).table
         arch = default_architecture(table)
-        assert [n.name for n in arch.latent_nodes] == ["pco2", "sid", "lactate"]
-        assert arch.output_node.name == "ph"
-        assert arch.output_node.kernel.ndim == 3
+        assert arch.latent_nodes == ("pco2", "sid", "lactate")
+        assert arch.output_node == "ph"
 
 
 class TestRunExperiment:
@@ -99,19 +99,15 @@ class TestRunExperiment:
         r2 = run_experiment(config)
         assert r1.to_json() == r2.to_json()
 
-    def test_impute_covariates_excludes_lgp(self):
-        config = ExperimentConfig(
-            mode="impute-covariates", methods=("locf", "lgp", "dgpsi"), seed=3, **FAST_CONFIG
-        )
-        report = run_experiment(config)
-        assert "lgp" not in {c.method for c in report.cells}
-        assert {c.method for c in report.cells} == {"locf", "dgpsi"}
-        assert report.failures == []
+    @pytest.mark.parametrize("mode", ["predict-output", "impute-covariates"])
+    def test_lgp_refused_as_unknown_method(self, mode):
+        with pytest.raises(ValueError, match="unknown methods: \\['lgp'\\]"):
+            ExperimentConfig(mode=mode, methods=("locf", "lgp", "dgpsi"), **FAST_CONFIG)
 
     def test_full_method_set_predict_output(self):
         config = ExperimentConfig(
             mode="predict-output",
-            methods=("locf", "mice", "gp", "lgp", "dgpsi"),
+            methods=("locf", "mice", "gp", "dgpsi"),
             seed=4,
             **FAST_CONFIG,
         )
@@ -134,7 +130,30 @@ class TestRunExperiment:
             assert entry["mean_mae"] == pytest.approx(c.mean_mae, rel=1e-12)
             assert entry["n_windows"] == len(c.per_window_mae)
         header = (tmp_path / "predictions.csv").read_text().splitlines()[0]
-        assert header == "window,time,variable,mean,variance,truth,masked"
+        assert header == "window,method,proportion,time,variable,mean,variance,truth,masked"
+
+    def test_predictions_labelled_by_method_and_proportion(self, tmp_path):
+        config = ExperimentConfig(
+            mode="predict-output", methods=("locf", "gp"), seed=6,
+            **{**FAST_CONFIG, "proportions": (0.2, 0.4)},
+        )
+        report = run_experiment(config)
+        write_report(report, str(tmp_path))
+        with open(tmp_path / "predictions.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(report.predictions)
+        for w in range(config.n_windows):
+            for prop in config.proportions:
+                # locf and gp predict the same masked cells of a (window, proportion)
+                cells = {}
+                for method in config.methods:
+                    mine = [r for r in rows if r["window"] == str(w) and r["method"] == method
+                            and float(r["proportion"]) == prop]
+                    cells[method] = [(r["time"], r["variable"]) for r in mine]
+                    mae = np.mean([abs(float(r["mean"]) - float(r["truth"])) for r in mine])
+                    assert mae == pytest.approx(report.lookup(method, prop).per_window_mae[w],
+                                                rel=1e-12)
+                assert cells["locf"] and cells["locf"] == cells["gp"]
 
     @staticmethod
     def dgpsi_with_failing_fit(monkeypatch, exc):
@@ -214,9 +233,18 @@ class TestCLI:
             ({"sem": {"iterations": 2, "burn_in": 5}}, "burn_in"),
             ({"sem": {"n_imputations": 0}}, "n_imputations"),
             ({"fit": {"nugget_bounds": [0.5, 0.1]}}, "nugget_bounds"),
+            ({"proportions": [1.5]}, "proportions"),
+            ({"proportions": [-0.2]}, "proportions"),
+            ({"proportions": []}, "proportions"),
+            ({"synthetic": {"min_length": 10, "max_length": 5}}, "min_length"),
+            ({"n_windows": 0}, "n_windows"),
+            ({"methods": []}, "methods"),
+            ({"methods": ["locf", "locf"]}, "methods"),
         ],
         ids=["fit-family", "sem-sweep-order", "top-level-typo", "bad-mode", "sem-burn-in",
-             "sem-zero-imputations", "fit-nugget-bounds"],
+             "sem-zero-imputations", "fit-nugget-bounds", "proportion-above-one",
+             "negative-proportion", "no-proportions", "synthetic-lengths", "zero-windows", "no-methods",
+             "duplicate-methods"],
     )
     def test_run_rejects_bad_config_before_any_cell(self, tmp_path, bad, key):
         cfg = {
