@@ -31,7 +31,6 @@ from .data import (
 from .dgp import (
     DGPSIEmulator,
     EnsemblePrediction,
-    LayerImputation,
     SEMConfig,
     ess_update,
     impute_covariates,

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import EmptyColumnError, ObservationTable
+from .data import EmptyColumnError, ObservationTable, require_ints
 from .gp import FitConfig, fit_gp, predict_batch
 
 
@@ -34,6 +34,12 @@ class MICEConfig:
     cycles: int = 10
     seed: int = 0
     ridge: float = 1e-6
+
+    def __post_init__(self):
+        require_ints(self, "n_imputations", "cycles", "seed")
+        for name, low in (("n_imputations", 1), ("cycles", 0), ("ridge", 0)):
+            if not getattr(self, name) >= low:  # `not >=` also refuses a NaN ridge
+                raise ValueError(f"{name} must be >= {low}")
 
 
 def locf_impute(table: ObservationTable, variable: str) -> ImputationMethodResult:

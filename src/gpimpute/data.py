@@ -311,6 +311,15 @@ def apply_mask(table: ObservationTable, plan: MaskPlan) -> ObservationTable:
     return out
 
 
+def require_ints(config, *names: str):
+    """Raise ValueError naming the first of ``names`` whose value on ``config``
+    is not an integer (Python or numpy); a bool is not a count."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Stewart-Fencl-style synthetic window: three smooth latent covariates drive
@@ -330,6 +339,7 @@ class SyntheticConfig:
     covariate_names: tuple[str, str, str] = ("pco2", "sid", "lactate")
 
     def __post_init__(self):
+        require_ints(self, "min_length", "max_length")
         if not 1 <= self.min_length <= self.max_length:
             raise ValueError("min_length and max_length must satisfy 1 <= min_length <= max_length")
 

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import ObservationTable
+from .data import ObservationTable, require_ints
 from .gp import (
     FitConfig,
     FittedGP,
@@ -44,9 +44,7 @@ FIT_ERRORS = (ValueError, RuntimeError, np.linalg.LinAlgError)
 
 
 class ESSStallError(RuntimeError):
-    def __init__(self, msg, state=None):
-        super().__init__(msg)
-        self.state = state
+    pass
 
 
 class SEMError(RuntimeError):
@@ -65,21 +63,14 @@ class SEMConfig:
     fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
+        require_ints(self, "iterations", "burn_in", "ess_sweeps", "n_imputations",
+                     "refit_max_iter")
         for name, low in (("burn_in", 0), ("ess_sweeps", 0), ("n_imputations", 1),
                           ("refit_max_iter", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
         if self.iterations < self.burn_in:
             raise ValueError("iterations must be >= burn_in")
-
-
-@dataclass
-class LayerImputation:
-    """One complete draw of latent-layer values; observed entries stay fixed."""
-
-    values: np.ndarray  # (N, P)
-    fixed_mask: np.ndarray  # (N, P) bool, True where latent is observed data
-    draw_index: int
 
 
 @dataclass
@@ -130,10 +121,7 @@ def ess_update(prior_mean, prior_chol, current, loglik, rng,
         else:
             theta_max = theta
         if theta_max - theta_min < ESS_BRACKET_MIN:
-            raise ESSStallError(
-                f"ESS bracket shrank below {ESS_BRACKET_MIN:g} radians",
-                state={"current": current, "theta": theta, "log_threshold": logy},
-            )
+            raise ESSStallError(f"ESS bracket shrank below {ESS_BRACKET_MIN:g} radians")
         theta = rng.uniform(theta_min, theta_max)
 
 
@@ -245,49 +233,50 @@ class LatentState:
             self._loglik = last
 
 
-def impute_latents(state: LatentState, rng: np.random.Generator, sweeps: int = 1,
-                   draw_index: int = 0) -> LayerImputation:
-    """Advance the sampler and snapshot the latent matrix as one imputation."""
+def impute_latents(state: LatentState, rng: np.random.Generator, sweeps: int = 1) -> np.ndarray:
+    """Advance the sampler and snapshot the (N, P) latent matrix as one imputation."""
     for _ in range(sweeps):
         state.sweep(rng)
-    return LayerImputation(
-        values=state.w.copy(),
-        fixed_mask=state.latent_mask.copy(),
-        draw_index=draw_index,
-    )
+    return state.w.copy()
 
 
 @dataclass
 class DGPSIEmulator:
-    """Ensemble built from its imputations. The draws share the training inputs
-    and first-layer hyperparameters, so each latent node has one GP whose
-    column s is draw s; the second layer has one GP per draw."""
+    """Ensemble of S latent draws. The draws share the training inputs and
+    first-layer hyperparameters, so each latent node has one GP whose column s
+    is draw s; the second layer has one GP per distinct draw."""
 
     architecture: LayerArchitecture
     first_hyper: list[GPHyperparams]
     second_hyper: GPHyperparams
-    imputations: list[LayerImputation]
+    draws: np.ndarray = field(repr=False)  # (S, N, P) latent imputations
+    latent_mask: np.ndarray = field(repr=False)  # (N, P) bool, True where the latent is data
     rng_seed: int | None
     train_X: np.ndarray = field(repr=False)
     train_y: np.ndarray = field(repr=False)
     first_layer: list[FittedGP] = field(init=False, repr=False, compare=False)
-    second_layer: list[FittedGP] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        draws = np.stack([imp.values for imp in self.imputations], axis=-1)  # (N, P, S)
-        self.first_layer = [make_fitted_gp(self.train_X, draws[:, p], h)
+        self.first_layer = [make_fitted_gp(self.train_X, self.draws[:, :, p].T, h)
                             for p, h in enumerate(self.first_hyper)]
-        self.second_layer = [make_fitted_gp(imp.values, self.train_y, self.second_hyper)
-                             for imp in self.imputations]
 
     @cached_property
-    def second_layer_inverses(self) -> list[np.ndarray]:
-        """R^-1 of each draw's second layer, computed on first output prediction."""
-        return [gp.corr.inverse() for gp in self.second_layer]
+    def second_layer(self) -> tuple[list[int], dict[int, tuple[FittedGP, np.ndarray]]]:
+        """For each draw, the index of its first bitwise-equal draw; and for each
+        such first draw, its GP and R^-1. Built on first output prediction."""
+        # compared as bytes: np.unique(axis=0) sorts the draws as records of N * P
+        # fields, 1.7 ms against 0.03 ms for 20 draws at N = 80 on a 2-vCPU VM
+        keys = [draw.tobytes() for draw in self.draws]
+        firsts = [keys.index(k) for k in keys]
+        layers = {}
+        for s in sorted(set(firsts)):
+            gp = make_fitted_gp(self.draws[s], self.train_y, self.second_hyper)
+            layers[s] = (gp, gp.corr.inverse())
+        return firsts, layers
 
     @property
     def n_imputations(self) -> int:
-        return len(self.imputations)
+        return len(self.draws)
 
     def manifest(self) -> dict:
         def hyper_entry(h: GPHyperparams) -> dict:
@@ -363,14 +352,10 @@ def train_sem(
         # E-step is a no-op: independent per-node ML fits, identical latents per draw
         first_hyper = [fit_node(X, latent_obs[:, p], latent_names[p]).hyper for p in range(P)]
         second_hyper = fit_node(latent_obs, y, arch.output_node).hyper
-        imputations = [
-            LayerImputation(values=latent_obs.copy(),
-                            fixed_mask=np.ones_like(latent_mask), draw_index=i)
-            for i in range(config.n_imputations)
-        ]
+        draws = np.repeat(latent_obs[None], config.n_imputations, axis=0)
         return DGPSIEmulator(
             architecture=arch, first_hyper=first_hyper, second_hyper=second_hyper,
-            imputations=imputations, rng_seed=seed, train_X=X, train_y=y,
+            draws=draws, latent_mask=latent_mask, rng_seed=seed, train_X=X, train_y=y,
         )
 
     # initial fill: per-column GP on observed entries, posterior mean at missing
@@ -421,24 +406,23 @@ def train_sem(
         final_second = state.second_hyper
     state.set_hyperparams(final_first, final_second)
 
-    imputations = [
-        impute_latents(state, rng, sweeps=config.ess_sweeps, draw_index=i)
-        for i in range(config.n_imputations)
-    ]
+    draws = np.stack([impute_latents(state, rng, sweeps=config.ess_sweeps)
+                      for _ in range(config.n_imputations)])
     return DGPSIEmulator(
         architecture=arch, first_hyper=final_first, second_hyper=final_second,
-        imputations=imputations, rng_seed=seed, train_X=X, train_y=y,
+        draws=draws, latent_mask=latent_mask, rng_seed=seed, train_X=X, train_y=y,
     )
 
 
 def predict_ensemble(em: DGPSIEmulator, x0) -> EnsemblePrediction:
-    """Mixture of per-imputation linked-GP predictions at a global input."""
+    """Mixture of per-imputation linked-GP predictions at a global input; each
+    distinct draw is propagated once and its component repeated for its copies."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     means, variances = _latent_predictions(em.first_layer, x0[None, :])  # (1, P, S), (1, P)
-    return mix_components([
-        _propagated_gaussian(gp, means[0, :, s], variances[0], Rinv)
-        for s, (gp, Rinv) in enumerate(zip(em.second_layer, em.second_layer_inverses))
-    ])
+    firsts, layers = em.second_layer
+    distinct = {s: _propagated_gaussian(gp, means[0, :, s], variances[0], Rinv)
+                for s, (gp, Rinv) in layers.items()}
+    return mix_components([distinct[s] for s in firsts])
 
 
 def impute_covariates(em: DGPSIEmulator, query_times, target: str) -> list[EnsemblePrediction]:
@@ -460,13 +444,11 @@ def save_emulator(em: DGPSIEmulator, directory: str):
         json.dump(em.manifest(), fh, indent=2, sort_keys=True)
     np.savetxt(os.path.join(directory, "training_inputs.csv"), em.train_X, delimiter=",")
     np.savetxt(os.path.join(directory, "training_outputs.csv"), em.train_y, delimiter=",")
-    values = np.stack([imp.values for imp in em.imputations])  # (S, N, P)
-    fixed = np.stack([imp.fixed_mask for imp in em.imputations])
-    draw_ids = np.array([imp.draw_index for imp in em.imputations])
-    draw, row, col = np.indices(values.shape).reshape(3, -1)
+    fixed = np.broadcast_to(em.latent_mask, em.draws.shape)
+    draw, row, col = np.indices(em.draws.shape).reshape(3, -1)
     # 17 significant digits round-trip every float64 bitwise
     np.savetxt(os.path.join(directory, "imputations.csv"),
-               np.column_stack([draw_ids[draw], row, col, values.ravel(), fixed.ravel()]),
+               np.column_stack([draw, row, col, em.draws.ravel(), fixed.ravel()]),
                fmt=["%d", "%d", "%d", "%.17g", "%d"], delimiter=",",
                header="draw,row,col,value,fixed", comments="")
 
@@ -507,13 +489,12 @@ def load_emulator(directory: str) -> DGPSIEmulator:
     if cells.shape[1] != 5 or not np.array_equal(cells[:, :3], expected):
         raise ValueError(f"{path}: every (draw, row, col) cell of the {n} x {p} latents "
                          "must appear exactly once per draw")
-    values = cells[:, 3].reshape(-1, n, p)
     fixed = cells[:, 4].reshape(-1, n, p) != 0
-    imputations = [
-        LayerImputation(values=values[s], fixed_mask=fixed[s], draw_index=int(d))
-        for s, d in enumerate(draw_ids)
-    ]
+    if not (fixed == fixed[0]).all():
+        raise ValueError(f"{path}: the fixed flag of each (row, col) cell must be the "
+                         "same in every draw")
     return DGPSIEmulator(
         architecture=arch, first_hyper=first_hyper, second_hyper=second_hyper,
-        imputations=imputations, rng_seed=manifest.get("rng_seed"), train_X=X, train_y=y,
+        draws=cells[:, 3].reshape(-1, n, p), latent_mask=fixed[0],
+        rng_seed=manifest.get("rng_seed"), train_X=X, train_y=y,
     )

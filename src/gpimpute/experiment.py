@@ -37,6 +37,7 @@ from .data import (
     apply_mask,
     generate_synthetic_window,
     make_mask_plan,
+    require_ints,
     standardise,
 )
 from .dgp import FIT_ERRORS, SEMConfig, impute_covariates, predict_ensemble, train_sem
@@ -70,6 +71,7 @@ class ExperimentConfig:
     mice: MICEConfig = field(default_factory=MICEConfig)
 
     def __post_init__(self):
+        require_ints(self, "n_windows", "seed")
         if self.mode not in (MODE_PREDICT_OUTPUT, MODE_IMPUTE_COVARIATES):
             raise ValueError(f"unknown mode: {self.mode!r}")
         bad = [m for m in self.methods if m not in {t.value for t in MethodTag}]

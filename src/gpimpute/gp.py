@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import OptimizeResult, minimize
 
+from .data import require_ints
 from .kernels import (
     CorrelationMatrix,
     DimensionMismatchError,
@@ -87,6 +88,7 @@ class FitConfig:
     nugget_bounds: tuple[float, float] = (NUGGET_FLOOR, 1.0)
 
     def __post_init__(self):
+        require_ints(self, "n_starts", "seed", "max_iter")
         for name in ("n_starts", "max_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

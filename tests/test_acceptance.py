@@ -331,8 +331,7 @@ def test_criterion_09_uncertainty_coupling():
                 state.sweep(rng)
             draws = []
             for _ in range(200):
-                imp = impute_latents(state, rng, sweeps=4)
-                draws.append(imp.values[rows, li])
+                draws.append(impute_latents(state, rng, sweeps=4)[rows, li])
             spread[label] = float(np.mean(np.asarray(draws).var(axis=0)))
         hits += spread["all"] >= spread["one"]
     assert hits >= 8, f"coupling held in only {hits}/10 seeds"

@@ -122,17 +122,16 @@ class TestImputeLatents:
         rng = np.random.default_rng(1)
         state = make_state(rng)
         before = state.latent_obs.copy()
-        imp = impute_latents(state, rng, sweeps=3, draw_index=7)
-        assert imp.draw_index == 7
-        assert np.array_equal(imp.values[state.latent_mask], before[state.latent_mask])
-        assert np.array_equal(imp.fixed_mask, state.latent_mask)
+        w = impute_latents(state, rng, sweeps=3)
+        assert w.shape == before.shape and w is not state.w
+        assert np.array_equal(w[state.latent_mask], before[state.latent_mask])
 
     def test_missing_entries_move(self):
         rng = np.random.default_rng(2)
         state = make_state(rng)
         before = state.w.copy()
-        imp = impute_latents(state, rng, sweeps=1)
-        moved = imp.values[~state.latent_mask] != before[~state.latent_mask]
+        w = impute_latents(state, rng, sweeps=1)
+        moved = w[~state.latent_mask] != before[~state.latent_mask]
         assert moved.all()
 
     def test_fully_observed_is_noop(self):
@@ -141,8 +140,8 @@ class TestImputeLatents:
         state.latent_mask[:] = True
         state._rebuild_priors()
         before = state.w.copy()
-        imp = impute_latents(state, rng, sweeps=5)
-        assert np.array_equal(imp.values, before)
+        w = impute_latents(state, rng, sweeps=5)
+        assert np.array_equal(w, before)
 
     def test_flat_likelihood_recovers_conditional_prior(self):
         # with a flat second layer the stationary law of the missing entries is
@@ -357,6 +356,22 @@ class TestTrainSEM:
             with pytest.raises(ValueError, match="finite"):
                 predict_ensemble(em, [bad])
 
+    def test_fully_observed_builds_one_second_layer(self, monkeypatch):
+        # every draw of a fully observed emulator is the data, so one second-layer
+        # GP serves them all, and covariate imputation builds none
+        built = []
+        real = dgp.make_fitted_gp
+        monkeypatch.setattr(dgp, "make_fitted_gp",
+                            lambda X, y, hyper: built.append(np.shape(X)) or real(X, y, hyper))
+        em = train_sem(make_window(seed=12), small_arch(),
+                       replace(FAST_SEM, n_imputations=20), 5)
+        n_second = lambda: sum(shape[1] == 3 for shape in built)  # noqa: E731
+        impute_covariates(em, [0.2, 0.6], "sid")
+        assert n_second() == 0
+        preds = [predict_ensemble(em, [x]) for x in (0.3, 0.8)]
+        assert n_second() == 1
+        assert all(len(p.components) == 20 and len(set(p.components)) == 1 for p in preds)
+
     @pytest.mark.parametrize("masked", [True, False], ids=["masked", "fully-observed"])
     def test_components_match_per_draw_reference(self, masked):
         # the shared first-layer factor and the per-draw second layers give each
@@ -366,10 +381,10 @@ class TestTrainSEM:
         x0, times = [0.45], np.array([0.1, 0.5, 0.8])
         ensemble = predict_ensemble(em, x0)
         covariates = impute_covariates(em, times, "sid")
-        for s, imp in enumerate(em.imputations):
-            first = [make_fitted_gp(em.train_X, imp.values[:, p], h)
+        for s, draw in enumerate(em.draws):
+            first = [make_fitted_gp(em.train_X, draw[:, p], h)
                      for p, h in enumerate(em.first_hyper)]
-            second = make_fitted_gp(imp.values, em.train_y, em.second_hyper)
+            second = make_fitted_gp(draw, em.train_y, em.second_hyper)
             ref = link_predict(LinkedEmulator(first, second), x0)
             got = ensemble.components[s]
             assert got.mean == pytest.approx(ref.mean, rel=0, abs=1e-10)
@@ -393,23 +408,31 @@ class TestPersistence:
         back = load_emulator(str(tmp_path / "em"))
         assert back.manifest() == em.manifest()
         assert back.architecture == em.architecture
-        for a, b in zip(em.imputations, back.imputations, strict=True):
-            assert a.draw_index == b.draw_index
-            assert np.array_equal(a.values, b.values)
-            assert np.array_equal(a.fixed_mask, b.fixed_mask)
+        assert sorted({int(line.split(",")[0]) for line in lines[1:]}) == \
+            list(range(FAST_SEM.n_imputations))
+        latent = [table.col_index(c) for c in small_arch().latent_nodes]
+        assert np.array_equal(em.latent_mask, table.mask[:, latent])
+        assert np.array_equal(back.draws, em.draws)
+        assert np.array_equal(back.latent_mask, em.latent_mask)
         for x0 in ([0.2], [0.7]):
             a = predict_ensemble(em, x0)
             b = predict_ensemble(back, x0)
             assert a.mixture.mean == pytest.approx(b.mixture.mean, rel=1e-12)
             assert a.mixture.variance == pytest.approx(b.mixture.variance, rel=1e-10, abs=1e-14)
 
-    @pytest.mark.parametrize("damage", ["truncated", "duplicated-line"])
+    @pytest.mark.parametrize("damage", ["truncated", "duplicated-line", "fixed-differs"])
     def test_incomplete_imputations_refused(self, tmp_path, damage):
         em = train_sem(masked_window(seed=11), small_arch(), FAST_SEM, 4)
         save_emulator(em, str(tmp_path / "em"))
         path = tmp_path / "em" / "imputations.csv"
         lines = path.read_text().splitlines(keepends=True)
-        lines = lines[:-40] if damage == "truncated" else lines + lines[-1:]
+        if damage == "truncated":
+            lines = lines[:-40]
+        elif damage == "duplicated-line":
+            lines = lines + lines[-1:]
+        else:  # the last draw alone marks its last cell the other way
+            head, flag = lines[-1].rstrip("\n").rsplit(",", 1)
+            lines[-1] = f"{head},{1 - int(flag)}\n"
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match="imputations.csv"):
             load_emulator(str(tmp_path / "em"))

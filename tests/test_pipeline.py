@@ -184,6 +184,21 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="unknown mode"):
             ExperimentConfig(mode="extrapolate")
 
+    def test_integer_fields_take_numpy_ints_not_floats(self):
+        int_fields = {
+            ExperimentConfig: dict(n_windows=2, seed=3),
+            SyntheticConfig: dict(min_length=20, max_length=30),
+            FitConfig: dict(n_starts=2, seed=0, max_iter=50),
+            SEMConfig: dict(iterations=4, burn_in=2, ess_sweeps=1, n_imputations=3,
+                            refit_max_iter=5),
+            MICEConfig: dict(n_imputations=3, cycles=4, seed=1),
+        }
+        for cls, fields in int_fields.items():
+            cls(**{k: np.int64(v) for k, v in fields.items()})
+            for k, v in fields.items():
+                with pytest.raises(ValueError, match=k):
+                    cls(**{**fields, k: float(v)})
+
 
 class TestCLI:
     def run_cli(self, *argv):
@@ -240,11 +255,24 @@ class TestCLI:
             ({"n_windows": 0}, "n_windows"),
             ({"methods": []}, "methods"),
             ({"methods": ["locf", "locf"]}, "methods"),
+            ({"mice": {"n_imputations": 0}}, "n_imputations"),
+            ({"mice": {"cycles": -1}}, "cycles"),
+            ({"mice": {"ridge": -1.0}}, "ridge"),
+            ({"n_windows": 1.5}, "n_windows"),
+            ({"n_windows": True}, "n_windows"),
+            ({"seed": 1.5}, "seed"),
+            ({"fit": {"n_starts": 1.5}}, "n_starts"),
+            ({"synthetic": {"min_length": 20.5}}, "min_length"),
+            ({"sem": {"ess_sweeps": 2.5}}, "ess_sweeps"),
+            ({"mice": {"cycles": 2.5}}, "cycles"),
         ],
         ids=["fit-family", "sem-sweep-order", "top-level-typo", "bad-mode", "sem-burn-in",
              "sem-zero-imputations", "fit-nugget-bounds", "proportion-above-one",
              "negative-proportion", "no-proportions", "synthetic-lengths", "zero-windows", "no-methods",
-             "duplicate-methods"],
+             "duplicate-methods", "mice-zero-imputations", "mice-negative-cycles",
+             "mice-negative-ridge", "fractional-windows", "boolean-windows", "fractional-seed",
+             "fractional-fit-starts", "fractional-synthetic-length", "fractional-sem-sweeps",
+             "fractional-mice-cycles"],
     )
     def test_run_rejects_bad_config_before_any_cell(self, tmp_path, bad, key):
         cfg = {
