@@ -37,7 +37,7 @@ class MICEConfig:
 
     def __post_init__(self):
         require_ints(self, "n_imputations", "cycles", "seed")
-        for name, low in (("n_imputations", 1), ("cycles", 0), ("ridge", 0)):
+        for name, low in (("n_imputations", 1), ("cycles", 0), ("seed", 0), ("ridge", 0)):
             if not getattr(self, name) >= low:  # `not >=` also refuses a NaN ridge
                 raise ValueError(f"{name} must be >= {low}")
 

@@ -62,6 +62,8 @@ def _write_table_csv(table, path):
 
 
 def _cmd_generate(args):
+    if args.seed < 0:
+        raise SystemExit(f"gpimpute generate: --seed must be >= 0, got {args.seed}")
     config = SyntheticConfig()
     os.makedirs(args.out, exist_ok=True)
     for w in range(args.windows):

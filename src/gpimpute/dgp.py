@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -310,6 +311,7 @@ def train_sem(
     arch: LayerArchitecture,
     config: SEMConfig,
     rng,
+    first_fits: Mapping[str, FittedGP] | None = None,
 ) -> DGPSIEmulator:
     """Fit the two-layer DGP by stochastic EM on rows where the output is observed.
 
@@ -318,6 +320,12 @@ def train_sem(
     then ``n_imputations`` latent draws populate the ensemble. With fully
     observed latents the E-step is a no-op and the result equals independent
     per-node ML fits.
+
+    ``first_fits`` maps latent node names to initial fits made elsewhere with
+    ``config.fit`` on the node's observed values against time, over the rows
+    where the output is observed; they are used as this function's own would be,
+    and the nodes not in it are fitted here. A fit on other data is refused with
+    a ValueError naming the node.
     """
     seed = None
     if isinstance(rng, (int, np.integer)):
@@ -344,13 +352,24 @@ def train_sem(
     def fit_node(Xn, yn, name):
         return guarded("initial fit failed", name, fit_gp, Xn, yn, config.fit)
 
+    def first_fit(p, obs):
+        """Initial fit of latent node p on its observed rows: given, or made here."""
+        name, Xn, yn = latent_names[p], X[obs], latent_obs[obs, p]
+        given = first_fits.get(name) if first_fits else None
+        if given is None:
+            return fit_node(Xn, yn, name)
+        if not (np.array_equal(given.training.X, Xn) and np.array_equal(given.training.y, yn)):
+            raise ValueError(f"first_fits[{name!r}] was fitted on other data than node "
+                             f"{name!r}'s observed values")
+        return given
+
     def refit_node(Xn, yn, init, hess_inv, name, it):
         return guarded(f"refit failed at iteration {it}", name, refit_gp, Xn, yn, init,
                        config.refit_max_iter, config.fit, hess_inv)
 
     if latent_mask.all():
         # E-step is a no-op: independent per-node ML fits, identical latents per draw
-        first_hyper = [fit_node(X, latent_obs[:, p], latent_names[p]).hyper for p in range(P)]
+        first_hyper = [first_fit(p, latent_mask[:, p]).hyper for p in range(P)]
         second_hyper = fit_node(latent_obs, y, arch.output_node).hyper
         draws = np.repeat(latent_obs[None], config.n_imputations, axis=0)
         return DGPSIEmulator(
@@ -365,7 +384,7 @@ def train_sem(
         obs = latent_mask[:, p]
         if obs.sum() < 2:
             raise SEMError(f"latent column {latent_names[p]!r} has fewer than 2 observed values")
-        m = fit_node(X[obs], latent_obs[obs, p], latent_names[p])
+        m = first_fit(p, obs)
         first_models.append(m)
         miss = ~obs
         if miss.any():

@@ -31,6 +31,7 @@ from .baselines import (
     mice_impute,
 )
 from .data import (
+    EmptyColumnError,
     ObservationTable,
     StandardisationRecord,
     SyntheticConfig,
@@ -41,7 +42,7 @@ from .data import (
     standardise,
 )
 from .dgp import FIT_ERRORS, SEMConfig, impute_covariates, predict_ensemble, train_sem
-from .gp import FitConfig
+from .gp import FitConfig, FittedGP, fit_gp, predict_batch
 from .linked import LayerArchitecture
 
 MODE_PREDICT_OUTPUT = "predict-output"
@@ -72,6 +73,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         require_ints(self, "n_windows", "seed")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # a JSON string such as "false" would mask whole rows, being truthy
+        if not isinstance(self.whole_row_masking, bool):
+            raise ValueError(f"whole_row_masking must be true or false, "
+                             f"got {self.whole_row_masking!r}")
         if self.mode not in (MODE_PREDICT_OUTPUT, MODE_IMPUTE_COVARIATES):
             raise ValueError(f"unknown mode: {self.mode!r}")
         bad = [m for m in self.methods if m not in {t.value for t in MethodTag}]
@@ -216,9 +223,32 @@ def _run_method_predict_output(
     return ImputationMethodResult(filled=filled, variance=variance, method_tag=MethodTag.DGPSI)
 
 
+def _column_fit(table: ObservationTable, column: str, fit_config: FitConfig,
+                fits: dict) -> FittedGP:
+    """GP of one column against time on its observed rows, from ``fits``, the
+    window's table keyed by (column, FitConfig), or fitted and filed there. A fit
+    error is filed too, and raised again on every lookup."""
+    key = (column, fit_config)
+    if key not in fits:
+        vals, mask = table.column(column)
+        try:
+            if mask.sum() < 2:
+                raise EmptyColumnError(f"column {column!r} has fewer than 2 observed values")
+            fits[key] = fit_gp(table.times[mask, None], vals[mask], fit_config)
+        except FIT_ERRORS as exc:
+            fits[key] = exc
+    if isinstance(fits[key], Exception):
+        raise fits[key]
+    return fits[key]
+
+
 def _run_method_impute_covariates(
-    method: str, table: ObservationTable, plan_cells, config: ExperimentConfig, seed: int
+    method: str, table: ObservationTable, plan_cells, config: ExperimentConfig, seed: int,
+    fits: dict,
 ) -> ImputationMethodResult:
+    """One method on a table with masked covariates. The output is fully observed,
+    so the gp method and dgpsi's first layer fit the same problems: both take
+    them from ``fits`` (see :func:`_column_fit`)."""
     covs = table.covariate_names
     if method == "locf":
         current = table
@@ -229,18 +259,25 @@ def _run_method_impute_covariates(
         filled = table.copy()
         variance = np.full_like(table.values, np.nan)
         for c in covs:
-            r = independent_gp_impute(table, c, config.fit)
+            model = _column_fit(table, c, config.fit, fits)
             j = table.col_index(c)
-            filled.values[:, j] = r.filled.values[:, j]
+            miss = ~table.mask[:, j]
+            if miss.any():
+                filled.values[miss, j], variance[miss, j] = predict_batch(
+                    model, table.times[miss, None])
             filled.mask[:, j] = True
-            variance[:, j] = r.variance[:, j]
         return ImputationMethodResult(filled=filled, variance=variance, method_tag=MethodTag.GP)
     if method == "mice":
         mc = dataclasses.replace(config.mice, seed=seed)
         return mice_impute(table, mc)  # all columns participate in this mode
     if method == "dgpsi":
-        arch = default_architecture(table)
-        em = train_sem(table, arch, config.sem, seed)
+        shared = {}
+        for c in covs:
+            try:
+                shared[c] = _column_fit(table, c, config.sem.fit, fits)
+            except FIT_ERRORS:
+                pass  # train_sem fits the node again and reports its failure by name
+        em = train_sem(table, default_architecture(table), config.sem, seed, first_fits=shared)
         filled = table.copy()
         variance = np.full_like(table.values, np.nan)
         for c in covs:
@@ -278,6 +315,7 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
     for w, window in enumerate(windows):
         truth = window.table
         for k, prop in enumerate(config.proportions):
+            fits = {}  # first-layer fits of this masked window, shared by gp and dgpsi
             mask_seed = _derived_seed(config.seed, w, k, 2)
             if config.mode == MODE_PREDICT_OUTPUT:
                 targets = [truth.output_name]
@@ -296,7 +334,7 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
                         )
                     else:
                         result = _run_method_impute_covariates(
-                            method, std_masked, cells, config, method_seed
+                            method, std_masked, cells, config, method_seed, fits
                         )
                     mae = evaluate_mae(std_truth, result, cells)
                     mae_orig = evaluate_mae_original(std_truth, result, cells, record)

@@ -23,21 +23,22 @@ go through ``kernels._cholesky_with_jitter``, ``kernels.chol_solve`` and
 ``kernels.chol_inverse``, which call LAPACK directly.
 
 :func:`fit_gp` (multi-start) and :func:`refit_gp` (one warm start) minimise the
-NLL over theta with one optimizer, :func:`_projected_bfgs`: BFGS on the D + 1
-log hyperparameters, projected onto the box of :func:`_log_bounds`, called
-through ``scipy.optimize.minimize``. Its final inverse Hessian is kept on the
-fitted model, so a refit of the same node can start from the curvature of the
-last one. A fitted model is assembled from the factor of the lowest NLL the
-optimizer evaluated; R is not built again.
+NLL over theta with one optimizer, :func:`minimize`: BFGS on the D + 1 log
+hyperparameters, projected onto the box of :func:`_log_bounds`. It calls the
+objective directly and keeps its own bookkeeping in Python floats, so an
+iteration costs little more than its objective evaluations. Its final inverse
+Hessian is kept on the fitted model, so a refit of the same node can start from
+the curvature of the last one. A fitted model is assembled from the factor of
+the lowest NLL the optimizer evaluated; R is not built again.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize
 
 from .data import require_ints
 from .kernels import (
@@ -52,6 +53,7 @@ from .kernels import (
 )
 
 NUGGET_FLOOR = 1e-8
+_LOG_2PI = np.log(2.0 * np.pi)
 _VARIANCE_CLAMP_TOL = 1e-10
 
 
@@ -89,9 +91,9 @@ class FitConfig:
 
     def __post_init__(self):
         require_ints(self, "n_starts", "seed", "max_iter")
-        for name in ("n_starts", "max_iter"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name, low in (("n_starts", 1), ("seed", 0), ("max_iter", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if not 0 < self.lengthscale_range[0] < self.lengthscale_range[1]:
             raise ValueError("lengthscale_range must satisfy 0 < low < high")
         if not 0 < self.nugget_bounds[0] <= self.nugget_bounds[1]:
@@ -163,8 +165,8 @@ def _gaussian_logpdf(y: np.ndarray, chol: np.ndarray, scale: float) -> float:
     n = y.shape[0]
     alpha = chol_solve(chol, y)
     quad = float(y @ alpha) / scale
-    logdet = n * np.log(scale) + 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return -0.5 * (n * np.log(2.0 * np.pi) + logdet + quad)
+    logdet = n * np.log(scale) + 2.0 * float(np.log(chol.diagonal()).sum())
+    return -0.5 * (n * _LOG_2PI + logdet + quad)
 
 
 def log_marginal_likelihood(X, y, hyper: GPHyperparams) -> float:
@@ -196,7 +198,8 @@ class _PreparedSEObjective:
         # calls), and that cost the N = 115 SEM refits about 4x on two cores.
         inv_ls2 = np.exp(-2.0 * theta[:-1])
         nugget = np.exp(theta[-1])
-        R = np.exp(-np.einsum("k,kij->ij", inv_ls2, self.d2))
+        R = np.einsum("k,kij->ij", inv_ls2, self.d2)
+        R = np.exp(np.negative(R, out=R), out=R)
         R.flat[self.same] += nugget
         try:
             L, jitter = _cholesky_with_jitter(R)
@@ -206,12 +209,14 @@ class _PreparedSEObjective:
         quad = float(self.y @ alpha)
         if quad <= 0:
             return np.inf, np.zeros_like(theta)
-        nll = 0.5 * self.n * np.log(quad / self.n) + float(np.sum(np.log(np.diag(L))))
+        nll = 0.5 * self.n * np.log(quad / self.n) + float(np.log(L.diagonal()).sum())
         if self.best is None or nll < self.best[0]:
             corr = CorrelationMatrix(values=R, chol=L, jitter_applied=jitter)
             self.best = (nll, theta.copy(), corr, alpha, quad)
         W = chol_inverse(L)
-        W -= (self.n / quad) * np.outer(alpha, alpha)
+        aa = np.multiply.outer(alpha, alpha)
+        aa *= self.n / quad
+        W -= aa
         grad = np.empty_like(theta)
         grad[-1] = 0.5 * nugget * float(np.sum(W.flat[self.same]))
         # R is the kernel matrix plus the nugget where every d2 is 0, so it
@@ -231,26 +236,49 @@ _ARMIJO = 1e-4
 _MAX_TRIALS = 20  # objective evaluations per line search
 
 
-def _box_direction(H: np.ndarray, g: np.ndarray, x, lo, hi) -> np.ndarray:
+@dataclass(frozen=True)
+class MinimizeResult:
+    """The last accepted point of :func:`minimize` and its value, the final inverse
+    Hessian, the objective evaluations and iterations made, and whether the run
+    stopped at a tolerance (``success``) rather than at a non-finite start,
+    ``maxiter`` or a failed line search."""
+
+    x: np.ndarray
+    fun: float
+    hess_inv: np.ndarray
+    nfev: int
+    nit: int
+    success: bool
+
+
+def _dot(u, v) -> float:
+    """sum_i u_i v_i, added in order from 0.0 as numpy sums fewer than 8 terms."""
+    total = 0.0
+    for a, b in zip(u, v):
+        total += a * b
+    return total
+
+
+def _box_direction(H, g, x, lo, hi) -> list[float]:
     """-H g restricted to the free variables. A variable at a bound is fixed
     (step 0) where the gradient, or else the step, points out of the box."""
-    at_lo, at_hi = x <= lo, x >= hi
-    if not (at_lo.any() or at_hi.any()):
-        return -(H * g).sum(axis=1)
-    free = ~((at_lo & (g > 0)) | (at_hi & (g < 0)))
+    at_lo = [xi <= l for xi, l in zip(x, lo)]
+    at_hi = [xi >= h for xi, h in zip(x, hi)]
+    if not (any(at_lo) or any(at_hi)):
+        return [-_dot(row, g) for row in H]
+    free = [not ((al and gi > 0) or (ah and gi < 0)) for al, ah, gi in zip(at_lo, at_hi, g)]
     while True:
-        p = -(free * (H * (free * g)).sum(axis=1))
-        out = (at_lo & (p < 0)) | (at_hi & (p > 0))
-        if not out.any():
+        g_free = [gi if fr else 0.0 for gi, fr in zip(g, free)]
+        p = [-_dot(row, g_free) if fr else 0.0 for row, fr in zip(H, free)]
+        out = [(al and pi < 0) or (ah and pi > 0) for al, ah, pi in zip(at_lo, at_hi, p)]
+        if not any(out):
             return p
-        free &= ~out
+        free = [fr and not o for fr, o in zip(free, out)]
 
 
-def _projected_bfgs(fun, x0, args=(), jac=None, bounds=None, maxiter=200, hess_inv0=None,
-                    **_):
-    """Minimise ``fun`` over the box ``bounds``, a sequence of (low, high) pairs,
-    by BFGS projected onto the box: a ``scipy.optimize.minimize`` method for a
-    few variables, with ``jac`` the gradient.
+def minimize(objective, x0, lo, hi, maxiter: int = 200, hess_inv0=None) -> MinimizeResult:
+    """Minimise ``objective`` over the box [lo, hi] by BFGS projected onto the
+    box. ``objective(x)`` returns the value and the gradient at an array x.
 
     Each iteration steps along :func:`_box_direction`, cut short at the first
     bound it meets, and backtracks until the Armijo condition holds, taking the
@@ -261,75 +289,87 @@ def _projected_bfgs(fun, x0, args=(), jac=None, bounds=None, maxiter=200, hess_i
     identity, the first step is at most 1 long, and H is rescaled by s'y / y'y
     before its first update. A failed line search restarts once from the
     identity. The run stops at scipy L-BFGS-B's default tolerances, or after
-    ``maxiter`` iterations, which like L-BFGS-B it reports as no success. The
-    arithmetic on H is elementwise, so no BLAS call (threaded or not) is made.
+    ``maxiter`` iterations, which like L-BFGS-B it reports as no success.
+
+    Only the objective touches arrays: the bookkeeping on the few variables is
+    in Python floats, which cost less per operation than numpy calls on arrays
+    this short, and it sums as numpy does, term by term from 0.0.
     """
-    lo, hi = (np.asarray(b, dtype=float) for b in zip(*bounds))
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    f, g = fun(x, *args), jac(x, *args)
+    lo, hi = [float(v) for v in lo], [float(v) for v in hi]
+    n = len(lo)
+
+    def identity():
+        return [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+
+    def evaluate(point):
+        value, grad = objective(np.array(point))
+        return float(value), grad.tolist()
+
+    x = [min(max(float(v), l), h) for v, l, h in zip(x0, lo, hi)]
+    f, g = evaluate(x)
     nfev, nit = 1, 0
     fresh = hess_inv0 is None
-    H = np.eye(x.size) if fresh else np.array(hess_inv0, dtype=float)
+    H = identity() if fresh else np.asarray(hess_inv0, dtype=float).tolist()
 
-    def result(status, message):
-        return OptimizeResult(x=x, fun=f, jac=g, hess_inv=H, nfev=nfev, njev=nfev, nit=nit,
-                              status=status, success=status == 0, message=message)
+    def result(success):
+        return MinimizeResult(x=np.array(x), fun=f, hess_inv=np.array(H), nfev=nfev, nit=nit,
+                              success=success)
 
-    if not np.isfinite(f):
-        return result(2, "objective not finite at the start")
+    if not math.isfinite(f):
+        return result(False)
     while True:
-        if np.abs(np.minimum(np.maximum(x - g, lo), hi) - x).max() <= _PGTOL:
-            return result(0, "projected gradient below tolerance")
+        if all(abs(min(max(xi - gi, l), h) - xi) <= _PGTOL
+               for xi, gi, l, h in zip(x, g, lo, hi)):
+            return result(True)
         if nit >= maxiter:
-            return result(1, "iteration limit reached")
+            return result(False)
         p = _box_direction(H, g, x, lo, hi)
-        slope = float((g * p).sum())
+        slope = _dot(g, p)
         # the step length that takes each variable to the bound it moves toward
-        edge = np.where(p > 0, hi, lo)
-        moves = p != 0
-        to_bound = np.where(moves, (edge - x) / np.where(moves, p, 1.0), np.inf)
-        alpha = min(1.0, float(to_bound.min()))
+        edge = [h if pi > 0 else l for pi, l, h in zip(p, lo, hi)]
+        to_bound = [(e - xi) / pi if pi != 0 else math.inf for e, xi, pi in zip(edge, x, p)]
+        alpha = min(1.0, min(to_bound))
         if fresh:
-            alpha = min(alpha, 1.0 / float(np.sqrt((p * p).sum())))
+            alpha = min(alpha, 1.0 / math.sqrt(_dot(p, p)))
         for _ in range(_MAX_TRIALS if slope < 0 else 0):
-            x_new = np.minimum(np.maximum(np.where(to_bound <= alpha, edge, x + alpha * p), lo), hi)
-            f_new = fun(x_new, *args)
+            x_new = [min(max(e if tb <= alpha else xi + alpha * pi, l), h)
+                     for e, tb, xi, pi, l, h in zip(edge, to_bound, x, p, lo, hi)]
+            f_new, g_new = evaluate(x_new)
             nfev += 1
             if f_new <= f + _ARMIJO * alpha * slope:
                 break
-            if np.isfinite(f_new):
-                a = -0.5 * slope * alpha**2 / (f_new - f - slope * alpha)
+            if math.isfinite(f_new):
+                curv = f_new - f - slope * alpha
+                # a zero curvature term divides to an infinity, signed as the zero
+                a = -0.5 * slope * alpha**2 / curv if curv else math.copysign(math.inf, curv)
                 alpha = min(max(a, 0.1 * alpha), 0.5 * alpha)
             else:
                 alpha *= 0.1
         else:
             if fresh:
-                return result(2, "line search failed")
-            H, fresh = np.eye(x.size), True
+                return result(False)
+            H, fresh = identity(), True
             continue
-        g_new = jac(x_new, *args)
-        s, yv = x_new - x, g_new - g
-        sy = float((s * yv).sum())
+        s = [a - b for a, b in zip(x_new, x)]
+        yv = [a - b for a, b in zip(g_new, g)]
+        sy = _dot(s, yv)
         # skip the update where the curvature s'y is not positive
-        if sy > _EPS * -float((g * s).sum()):
+        if sy > _EPS * -_dot(g, s):
             if fresh:
-                H *= sy / float((yv * yv).sum())
+                c = sy / _dot(yv, yv)
+                H = [[v * c for v in row] for row in H]
                 fresh = False
-            Hy = (H * yv).sum(axis=1)
+            Hy = [_dot(row, yv) for row in H]
             rho = 1.0 / sy
-            H += (rho + rho**2 * float((yv * Hy).sum())) * (s[:, None] * s)
-            H -= rho * (Hy[:, None] * s + s[:, None] * Hy)
+            c = rho + rho**2 * _dot(yv, Hy)
+            H = [[h + c * (si * sj) - rho * (hyi * sj + si * hyj)
+                  for sj, hyj, h in zip(s, Hy, row)]
+                 for si, hyi, row in zip(s, Hy, H)]
         nit += 1
         reduction = (f - f_new) / max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new
         if reduction <= _FTOL:
-            return result(0, "relative reduction below tolerance")
-
-
-def _minimize_nll(objective: _PreparedSEObjective, theta0, bounds, max_iter: int,
-                  hess_inv0=None):
-    return minimize(objective, theta0, jac=True, method=_projected_bfgs, bounds=bounds,
-                    options={"maxiter": max_iter, "hess_inv0": hess_inv0})
+            return result(True)
 
 
 def _log_bounds(X: np.ndarray, config: FitConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -382,7 +422,7 @@ def fit_gp(X, y, config: FitConfig = FitConfig()) -> FittedGP:
     hess_inv = None
     best_val = np.inf
     for t0 in starts:
-        res = _minimize_nll(objective, t0, list(zip(lo, hi)), config.max_iter)
+        res = minimize(objective, t0, lo, hi, config.max_iter)
         if res.fun < best_val:
             best_val = res.fun
             hess_inv = res.hess_inv
@@ -398,7 +438,7 @@ def refit_gp(model_X, model_y, init: GPHyperparams, max_iter: int = 50,
     t0 = np.concatenate([np.log(init.kernel.lengthscales), [np.log(max(init.nugget, NUGGET_FLOOR))]])
     lo, hi = _log_bounds(training.X, config)
     objective = _PreparedSEObjective(training.X, training.y)
-    res = _minimize_nll(objective, t0, list(zip(lo, hi)), max_iter, hess_inv0)
+    res = minimize(objective, t0, lo, hi, max_iter, hess_inv0)
     return _fitted_from(training, objective, res.hess_inv)
 
 

@@ -22,6 +22,7 @@ Gauss-Hermite quadrature and Monte Carlo in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,15 +75,18 @@ def kernel_value(spec: KernelSpec, a, b) -> float:
 def scaled_sq_dist(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared distances sum_d ((A_id - B_jd) / l_d)^2, shape (len(A), len(B)).
 
-    Exactly symmetric when A is B, and exactly 0 between identical rows.
+    Exactly symmetric when A is B, and exactly 0 between identical rows. When A
+    is B the inputs are scaled once.
     """
+    b_is_a = B is A
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
+    B = A if b_is_a else np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != spec.ndim or B.shape[1] != spec.ndim:
         raise DimensionMismatchError(
             f"expected {spec.ndim} columns, got {A.shape[1]} and {B.shape[1]}"
         )
-    return cdist(A / spec.lengthscales, B / spec.lengthscales, "sqeuclidean")
+    As = A / spec.lengthscales
+    return cdist(As, As if b_is_a else B / spec.lengthscales, "sqeuclidean")
 
 
 def cross_correlation(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -181,14 +185,16 @@ def build_correlation(spec: KernelSpec, nugget: float, X: np.ndarray) -> Correla
     the same indicator. Non-finite inputs raise ValueError: LAPACK would
     factor their NaN rows without reporting a failure.
     """
-    if nugget < 0 or not np.isfinite(nugget):
+    if not (nugget >= 0 and math.isfinite(nugget)):
         raise ValueError("nugget must be finite and non-negative")
     X = np.asarray(X, dtype=float)
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError("correlation inputs are not finite")
     d2 = scaled_sq_dist(spec, X, X)
-    R = np.exp(-d2)
-    R[d2 == 0] += nugget
+    same = d2 == 0
+    # R = exp(-d2), in place
+    R = np.exp(np.negative(d2, out=d2), out=d2)
+    np.add(R, nugget, out=R, where=same)
     L, jitter = _cholesky_with_jitter(R)
     return CorrelationMatrix(values=R, chol=L, jitter_applied=jitter)
 

@@ -27,6 +27,7 @@ from gpimpute.gp import (
     FitConfig,
     GPHyperparams,
     PredictiveGaussian,
+    _gaussian_logpdf,
     _log_bounds,
     _PreparedSEObjective,
     fit_gp,
@@ -34,7 +35,7 @@ from gpimpute.gp import (
     make_fitted_gp,
     predict_batch,
 )
-from gpimpute.kernels import KernelSpec
+from gpimpute.kernels import KernelSpec, build_correlation
 from gpimpute.linked import LayerArchitecture, LinkedEmulator, link_predict
 
 
@@ -175,6 +176,24 @@ class TestImputeLatents:
             assert state.output_loglik(w) == pytest.approx(ref, rel=1e-10)
         assert np.unique(duplicated, axis=0).shape[0] == n - 1
 
+    @pytest.mark.parametrize("case", ["distinct", "duplicate-rows", "close-rows-no-nugget"])
+    def test_output_loglik_is_the_reference_bitwise(self, case):
+        # the ESS likelihood is the Gaussian log density over build_correlation's
+        # factor, whatever that call adds for the nugget and the jitter
+        rng = np.random.default_rng(8)
+        state = make_state(rng, n=40)
+        w = rng.standard_normal((40, 2))
+        if case == "duplicate-rows":
+            # the nugget goes on every identical pair, so R is singular until jittered
+            w[[1, 7]] = w[[0, 3]]
+        elif case == "close-rows-no-nugget":
+            w[[1, 7]] = w[[0, 3]] + 1e-9
+            state.set_hyperparams(state.first_hyper, replace(state.second_hyper, nugget=0.0))
+        hyper = state.second_hyper
+        corr = build_correlation(hyper.kernel, hyper.nugget, w)
+        assert (corr.jitter_applied > 0) == (case != "distinct")
+        assert state.output_loglik(w) == _gaussian_logpdf(state.y, corr.chol, hyper.scale)
+
 
 def reference_sweep(state, rng):
     """LatentState.sweep as it was before the likelihood reuse: every update
@@ -256,6 +275,46 @@ class TestTrainSEM:
         assert np.array_equal(
             em.second_hyper.kernel.lengthscales, direct2.hyper.kernel.lengthscales
         )
+
+    @staticmethod
+    def initial_fits(table):
+        """Each latent node's fit against time on its observed values."""
+        fits = {}
+        for name in small_arch().latent_nodes:
+            vals, mask = table.column(name)
+            fits[name] = fit_gp(table.times[mask, None], vals[mask], FAST_SEM.fit)
+        return fits
+
+    @pytest.mark.parametrize("masked", [True, False], ids=["masked", "fully-observed"])
+    def test_given_first_fits_replace_its_own(self, monkeypatch, masked):
+        table = masked_window(seed=3) if masked else make_window(seed=3)
+        ref = train_sem(table, small_arch(), FAST_SEM, 11)
+        fits = self.initial_fits(table)
+        shapes = []
+        monkeypatch.setattr(dgp, "fit_gp",
+                            lambda X, y, config: shapes.append(np.shape(X)) or fit_gp(X, y, config))
+        em = train_sem(table, small_arch(), FAST_SEM, 11, first_fits=fits)
+        assert shapes == [(table.n, 3)]  # the second layer's initial fit only
+        assert em.draws.tobytes() == ref.draws.tobytes()
+        assert em.manifest() == ref.manifest()
+        for got, want in zip(em.first_hyper + [em.second_hyper],
+                             ref.first_hyper + [ref.second_hyper]):
+            assert got.kernel.lengthscales.tobytes() == want.kernel.lengthscales.tobytes()
+            assert (got.scale, got.nugget) == (want.scale, want.nugget)
+
+    @pytest.mark.parametrize("damage", ["values", "times"])
+    def test_first_fit_on_other_data_refused(self, damage):
+        table = masked_window(seed=3)
+        fits = self.initial_fits(table)
+        vals, mask = table.column("sid")
+        X, y = table.times[mask, None], vals[mask]
+        if damage == "values":
+            y = y + 1.0
+        else:
+            X = X + 0.5
+        fits["sid"] = fit_gp(X, y, FAST_SEM.fit)
+        with pytest.raises(ValueError, match="'sid'"):
+            train_sem(table, small_arch(), FAST_SEM, 11, first_fits=fits)
 
     def test_refits_honour_fit_config_bounds(self):
         # first-layer refits all see the full time grid, so every traced

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,11 +12,11 @@ from gpimpute.gp import (
     FitFailureError,
     GPHyperparams,
     _log_bounds,
-    _minimize_nll,
     _PreparedSEObjective,
     fit_gp,
     log_marginal_likelihood,
     make_fitted_gp,
+    minimize,
     predict,
     predict_batch,
     refit_gp,
@@ -146,17 +150,15 @@ class TestOptimizer:
     def test_best_of_starts_matches_lbfgsb(self, monkeypatch, lbfgsb, n, d, seed):
         X, (y,) = drifting_outputs(n, d, 0, seed)
         starts = []
-        minimize = gp.minimize
-
-        def spy(fun, x0, **kwargs):
-            starts.append((np.array(x0), np.array(kwargs["bounds"])))
-            return minimize(fun, x0, **kwargs)
+        def spy(objective, x0, lo, hi, maxiter, hess_inv0=None):
+            starts.append((np.array(x0), np.array(lo), np.array(hi)))
+            return minimize(objective, x0, lo, hi, maxiter, hess_inv0)
 
         monkeypatch.setattr(gp, "minimize", spy)
         config = FitConfig(seed=seed)
         model = fit_gp(X, y, config)
         assert len(starts) == config.n_starts
-        oracle = min(lbfgsb(X, y, t0, *bounds.T, config.max_iter).fun for t0, bounds in starts)
+        oracle = min(lbfgsb(X, y, t0, lo, hi, config.max_iter).fun for t0, lo, hi in starts)
         nll = _PreparedSEObjective(X, y)(log_theta(model.hyper))[0]
         assert nll == pytest.approx(oracle, rel=1e-6, abs=1e-6)
 
@@ -169,9 +171,8 @@ class TestOptimizer:
         theta, hess_inv = log_theta(first.hyper), first.hess_inv
         carried_evals = fresh_evals = 0
         for y in ys[1:]:
-            carried = _minimize_nll(_PreparedSEObjective(X, y), theta, list(zip(lo, hi)), 50,
-                                    hess_inv)
-            fresh = _minimize_nll(_PreparedSEObjective(X, y), theta, list(zip(lo, hi)), 50)
+            carried = minimize(_PreparedSEObjective(X, y), theta, lo, hi, 50, hess_inv)
+            fresh = minimize(_PreparedSEObjective(X, y), theta, lo, hi, 50)
             oracle = lbfgsb(X, y, theta, lo, hi, 50)
             assert carried.fun <= oracle.fun + 1e-8 * abs(oracle.fun)
             assert carried.fun == pytest.approx(fresh.fun, rel=1e-7)
@@ -198,7 +199,7 @@ class TestOptimizer:
         X = np.linspace(0, 1, 30)[:, None]
         y = np.sin(12.0 * X[:, 0])
         lo, hi = _log_bounds(X, FitConfig(lengthscale_range=(0.5, 0.6), nugget_bounds=(1e-3, 1e-2)))
-        res = _minimize_nll(_PreparedSEObjective(X, y), np.log([0.55, 3e-3]), list(zip(lo, hi)), 50)
+        res = minimize(_PreparedSEObjective(X, y), np.log([0.55, 3e-3]), lo, hi, 50)
         assert res.success
         assert np.array_equal(res.x, lo)
 
@@ -208,7 +209,7 @@ class TestOptimizer:
         X = np.array([[0.2], [0.2], [0.7]])
         y = np.array([0.1, -0.4, 0.3])
         lo, hi = _log_bounds(X, FitConfig())
-        res = _minimize_nll(_PreparedSEObjective(X, y), np.log([0.5, 1e-3]), list(zip(lo, hi)), 50)
+        res = minimize(_PreparedSEObjective(X, y), np.log([0.5, 1e-3]), lo, hi, 50)
         assert res.fun == np.inf and not res.success and res.nfev == 1
         with pytest.raises(FitFailureError, match="no finite objective"):
             refit_gp(X, y, se_hyper(0.5, nugget=1e-3))
@@ -218,26 +219,47 @@ class TestOptimizer:
         objective = _PreparedSEObjective(X, y)
         lo, hi = _log_bounds(X, FitConfig())
         start = np.log([0.05, 1e-2])
-        free = _minimize_nll(objective, start, list(zip(lo, hi)), 50)
+        free = minimize(objective, start, lo, hi, 50)
         cap = 0.5 * (start[0] + free.x[0])  # between the start and the optimum
 
         def capped(theta):
             return (np.inf, np.zeros_like(theta)) if theta[0] > cap else objective(theta)
 
-        res = _minimize_nll(capped, start, list(zip(lo, hi)), 50)
+        res = minimize(capped, start, lo, hi, 50)
         assert np.isfinite(res.fun) and res.x[0] <= cap
         assert res.fun < objective(start)[0]
+
+    def test_bookkeeping_sums_as_numpy_does(self):
+        # the optimizer's float sums over D + 1 <= 4 terms round as numpy's do,
+        # so it steps as the array version it replaced did
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            n = int(rng.integers(1, 5))
+            u, v = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-6, 6, (2, n))
+            assert gp._dot(u.tolist(), v.tolist()) == float((u * v).sum())
 
     def test_result_fields_read_by_the_tracer(self):
         X, (y,) = drifting_outputs(25, 2, 0, seed=7)
         lo, hi = _log_bounds(X, FitConfig())
-        res = _minimize_nll(_PreparedSEObjective(X, y), np.log([0.3, 0.3, 1e-2]),
-                            list(zip(lo, hi)), 50)
+        res = minimize(_PreparedSEObjective(X, y), np.log([0.3, 0.3, 1e-2]), lo, hi, 50)
         assert type(res.nfev) is int and type(res.nit) is int and type(res.success) is bool
         assert res.success and res.nfev > res.nit > 0
         assert res.hess_inv.shape == (3, 3)
         assert np.allclose(res.hess_inv, res.hess_inv.T)
         assert np.all(np.linalg.eigvalsh(res.hess_inv) > 0)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the optimizer is the package's own, so start-up need not pay for importing
+    # scipy.optimize
+    import gpimpute
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gpimpute.__file__)))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import gpimpute, gpimpute.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestOutputColumns:

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+import gpimpute.baselines
 import gpimpute.dgp
+import gpimpute.experiment
 from gpimpute.baselines import ImputationMethodResult, MethodTag, MICEConfig
 from gpimpute.data import ObservationTable, SyntheticConfig
 from gpimpute.dgp import SEMConfig
@@ -17,7 +19,7 @@ from gpimpute.experiment import (
     run_experiment,
     write_report,
 )
-from gpimpute.gp import FitConfig, FitFailureError
+from gpimpute.gp import FitConfig, FitFailureError, fit_gp
 
 FAST_CONFIG = dict(
     proportions=(0.2,),
@@ -176,6 +178,49 @@ class TestRunExperiment:
         assert "initial fit failed" in failure["error"]
         assert "no finite value" in failure["error"]
 
+    @staticmethod
+    def patch_fit_gp(monkeypatch, fit):
+        """Put ``fit`` at every name fit_gp is called by."""
+        for module in (gpimpute.experiment, gpimpute.dgp, gpimpute.baselines):
+            monkeypatch.setattr(module, "fit_gp", fit, raising=False)
+
+    @pytest.mark.parametrize("methods", [("gp", "dgpsi"), ("dgpsi", "gp")])
+    def test_gp_and_dgpsi_share_first_layer_fits(self, monkeypatch, methods):
+        # in impute-covariates the output is fully observed, so gp and dgpsi's
+        # first layer fit the same three covariate problems: each is fitted once
+        # per (window, proportion), plus dgpsi's second layer
+        calls = []
+        self.patch_fit_gp(monkeypatch, lambda X, y, config: calls.append(np.shape(X))
+                          or fit_gp(X, y, config))
+        config = ExperimentConfig(mode="impute-covariates", methods=methods, seed=3,
+                                  **FAST_CONFIG)
+        report = run_experiment(config)
+        assert report.failures == []
+        cells = config.n_windows * len(config.proportions)
+        assert len(calls) == 4 * cells
+        assert sum(shape[1] == 1 for shape in calls) == 3 * cells
+
+    def test_shared_fit_failure_filed_per_method(self, monkeypatch):
+        # a failing first-layer fit is filed as the method's own failure: the
+        # fit's error for gp, an SEMError naming the node for dgpsi
+        def fit(X, y, config):
+            if np.shape(X)[1] == 1:
+                raise FitFailureError("no finite value")
+            return fit_gp(X, y, config)
+
+        self.patch_fit_gp(monkeypatch, fit)
+        config = ExperimentConfig(mode="impute-covariates", methods=("gp", "dgpsi"), seed=3,
+                                  **FAST_CONFIG)
+        report = run_experiment(config)
+        assert report.failures == [
+            {"window": w, "method": method, "proportion": 0.2, "type": kind, "error": error}
+            for w in range(config.n_windows)
+            for method, kind, error in [
+                ("gp", "FitFailureError", "no finite value"),
+                ("dgpsi", "SEMError", "initial fit failed for node 'pco2': no finite value"),
+            ]
+        ]
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown methods"):
             ExperimentConfig(methods=("locf", "zzz"))
@@ -265,6 +310,10 @@ class TestCLI:
             ({"synthetic": {"min_length": 20.5}}, "min_length"),
             ({"sem": {"ess_sweeps": 2.5}}, "ess_sweeps"),
             ({"mice": {"cycles": 2.5}}, "cycles"),
+            ({"whole_row_masking": "false"}, "whole_row_masking"),
+            ({"seed": -1}, "seed"),
+            ({"fit": {"seed": -1}}, "seed"),
+            ({"mice": {"seed": -1}}, "seed"),
         ],
         ids=["fit-family", "sem-sweep-order", "top-level-typo", "bad-mode", "sem-burn-in",
              "sem-zero-imputations", "fit-nugget-bounds", "proportion-above-one",
@@ -272,7 +321,8 @@ class TestCLI:
              "duplicate-methods", "mice-zero-imputations", "mice-negative-cycles",
              "mice-negative-ridge", "fractional-windows", "boolean-windows", "fractional-seed",
              "fractional-fit-starts", "fractional-synthetic-length", "fractional-sem-sweeps",
-             "fractional-mice-cycles"],
+             "fractional-mice-cycles", "string-whole-row-masking", "negative-seed",
+             "negative-fit-seed", "negative-mice-seed"],
     )
     def test_run_rejects_bad_config_before_any_cell(self, tmp_path, bad, key):
         cfg = {
@@ -289,6 +339,13 @@ class TestCLI:
             self.run_cli("run", "--config", str(cfg_path), "--out", str(out))
         assert exc.value.code != 0
         assert key in str(exc.value.code)
+        assert not out.exists()
+
+    def test_generate_rejects_negative_seed(self, tmp_path):
+        out = tmp_path / "windows"
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("generate", "--windows", "1", "--seed", "-1", "--out", str(out))
+        assert "--seed" in str(exc.value.code)
         assert not out.exists()
 
     def test_inspect_emulator_dir(self, tmp_path, capsys):
