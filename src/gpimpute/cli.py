@@ -22,7 +22,8 @@ it. An unknown key or a bad value stops ``run`` before any cell runs. Schema
     "fit": {"n_starts": 5, "seed": 0, "max_iter": 200,
             "lengthscale_range": [0.01, 10.0], "nugget_bounds": [1e-8, 1.0]},
     "sem": {"iterations": ..., "burn_in": ..., "ess_sweeps": ...,
-            "n_imputations": ..., "refit_max_iter": 25},
+            "n_imputations": ..., "refit_max_iter": 25,
+            "fit": {... FitConfig fields, as in "fit" ...}},
     "mice": {"n_imputations": 5, "cycles": 10}
   }
 """
@@ -37,7 +38,6 @@ import sys
 
 import numpy as np
 
-from .baselines import MICEConfig
 from .data import (
     ROLE_COVARIATE,
     ROLE_OUTPUT,
@@ -46,9 +46,7 @@ from .data import (
     generate_synthetic_window,
     ingest_csv,
 )
-from .dgp import SEMConfig
 from .experiment import ExperimentConfig, aggregate_results_csv, run_experiment, write_report
-from .gp import FitConfig
 
 
 def _write_table_csv(table, path):
@@ -64,6 +62,8 @@ def _write_table_csv(table, path):
 def _cmd_generate(args):
     if args.seed < 0:
         raise SystemExit(f"gpimpute generate: --seed must be >= 0, got {args.seed}")
+    if args.windows < 1:
+        raise SystemExit(f"gpimpute generate: --windows must be >= 1, got {args.windows}")
     config = SyntheticConfig()
     os.makedirs(args.out, exist_ok=True)
     for w in range(args.windows):
@@ -83,31 +83,30 @@ def _cmd_preprocess(args):
     print(f"wrote {table.n} hourly rows to {args.out}")
 
 
+def _config_kwargs(cls, raw, where: str) -> dict:
+    """Keyword arguments of the config class ``cls`` from the JSON object ``raw``
+    found at ``where``: lists become tuples, and an object under a field whose
+    default is a config becomes that config, built the same way."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object, got {raw!r}")
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown config key(s) in {where}: {', '.join(unknown)}")
+    defaults, kwargs = cls(), {}
+    for key, value in raw.items():
+        sub = type(getattr(defaults, key))
+        if dataclasses.is_dataclass(sub):
+            value = sub(**_config_kwargs(sub, value, f"{where}.{key}"))
+        kwargs[key] = tuple(value) if isinstance(value, list) else value
+    return kwargs
+
+
 def _build_experiment_config(args) -> ExperimentConfig:
     raw = {}
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
-    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(ExperimentConfig)})
-    if unknown:
-        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-    kwargs = {}
-    for key in ("mode", "n_windows", "seed", "whole_row_masking"):
-        if key in raw:
-            kwargs[key] = raw[key]
-    if "methods" in raw:
-        kwargs["methods"] = tuple(raw["methods"])
-    if "proportions" in raw:
-        kwargs["proportions"] = tuple(raw["proportions"])
-    for key, cls in (("synthetic", SyntheticConfig), ("fit", FitConfig),
-                     ("sem", SEMConfig), ("mice", MICEConfig)):
-        if key in raw:
-            sub = dict(raw[key])
-            for k in ("lengthscale_range", "nugget_bounds", "latent_lengthscale_range",
-                      "readout_weights", "covariate_names"):
-                if k in sub:
-                    sub[k] = tuple(sub[k])
-            kwargs[key] = cls(**sub)
+    kwargs = _config_kwargs(ExperimentConfig, raw, "config")
     # flag overrides
     if args.seed is not None:
         kwargs["seed"] = args.seed

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -72,6 +71,8 @@ class SEMConfig:
                 raise ValueError(f"{name} must be >= {low}")
         if self.iterations < self.burn_in:
             raise ValueError("iterations must be >= burn_in")
+        if not isinstance(self.fit, FitConfig):
+            raise ValueError(f"fit must be a FitConfig, got {self.fit!r}")
 
 
 @dataclass
@@ -311,7 +312,7 @@ def train_sem(
     arch: LayerArchitecture,
     config: SEMConfig,
     rng,
-    first_fits: Mapping[str, FittedGP] | None = None,
+    fit=None,
 ) -> DGPSIEmulator:
     """Fit the two-layer DGP by stochastic EM on rows where the output is observed.
 
@@ -321,11 +322,9 @@ def train_sem(
     observed latents the E-step is a no-op and the result equals independent
     per-node ML fits.
 
-    ``first_fits`` maps latent node names to initial fits made elsewhere with
-    ``config.fit`` on the node's observed values against time, over the rows
-    where the output is observed; they are used as this function's own would be,
-    and the nodes not in it are fitted here. A fit on other data is refused with
-    a ValueError naming the node.
+    ``fit``, called as ``fit(X, y, config.fit)``, makes every initial fit (each
+    latent node, then the second layer) in place of :func:`fit_gp`; it must
+    return what ``fit_gp`` would, as a table of fits shared between callers does.
     """
     seed = None
     if isinstance(rng, (int, np.integer)):
@@ -350,18 +349,10 @@ def train_sem(
             raise SEMError(f"{stage} for node {name!r}: {exc}") from exc
 
     def fit_node(Xn, yn, name):
-        return guarded("initial fit failed", name, fit_gp, Xn, yn, config.fit)
+        return guarded("initial fit failed", name, fit or fit_gp, Xn, yn, config.fit)
 
     def first_fit(p, obs):
-        """Initial fit of latent node p on its observed rows: given, or made here."""
-        name, Xn, yn = latent_names[p], X[obs], latent_obs[obs, p]
-        given = first_fits.get(name) if first_fits else None
-        if given is None:
-            return fit_node(Xn, yn, name)
-        if not (np.array_equal(given.training.X, Xn) and np.array_equal(given.training.y, yn)):
-            raise ValueError(f"first_fits[{name!r}] was fitted on other data than node "
-                             f"{name!r}'s observed values")
-        return given
+        return fit_node(X[obs], latent_obs[obs, p], latent_names[p])
 
     def refit_node(Xn, yn, init, hess_inv, name, it):
         return guarded(f"refit failed at iteration {it}", name, refit_gp, Xn, yn, init,

@@ -15,6 +15,7 @@ the inverse z-score record). Standard errors are across windows.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -26,7 +27,6 @@ from .baselines import (
     ImputationMethodResult,
     MethodTag,
     MICEConfig,
-    independent_gp_impute,
     locf_impute,
     mice_impute,
 )
@@ -196,45 +196,15 @@ def _standardise_pair(masked: ObservationTable, truth: ObservationTable):
     return std_masked, std_truth, record
 
 
-def _run_method_predict_output(
-    method: str, table: ObservationTable, plan_cells, config: ExperimentConfig, seed: int
-) -> ImputationMethodResult:
-    out_name = table.output_name
-    if method == "locf":
-        return locf_impute(table, out_name)
-    if method == "gp":
-        return independent_gp_impute(table, out_name, config.fit)
-    if method == "mice":
-        # experiment-1 constraint: time and output only
-        mc = dataclasses.replace(config.mice, seed=seed)
-        return mice_impute(table, mc, columns=[out_name])
-    if method != "dgpsi":
-        raise ValueError(f"unknown method: {method!r}")
-    out_j = table.col_index(out_name)
-    miss_rows = np.array(sorted({i for i, j in plan_cells}))
-    filled = table.copy()
-    variance = np.full_like(table.values, np.nan)
-    em = train_sem(table, default_architecture(table), config.sem, seed)
-    for i in miss_rows:
-        pred = predict_ensemble(em, [table.times[i]])
-        filled.values[i, out_j] = pred.mixture.mean
-        variance[i, out_j] = pred.mixture.variance
-    filled.mask[miss_rows, out_j] = True
-    return ImputationMethodResult(filled=filled, variance=variance, method_tag=MethodTag.DGPSI)
-
-
-def _column_fit(table: ObservationTable, column: str, fit_config: FitConfig,
-                fits: dict) -> FittedGP:
-    """GP of one column against time on its observed rows, from ``fits``, the
-    window's table keyed by (column, FitConfig), or fitted and filed there. A fit
-    error is filed too, and raised again on every lookup."""
-    key = (column, fit_config)
+def _fit(fits: dict, X: np.ndarray, y: np.ndarray, config: FitConfig) -> FittedGP:
+    """``fit_gp(X, y, config)`` from ``fits``, a table keyed by the bytes of the
+    inputs and the config, or fitted and filed there. fit_gp is deterministic in
+    these, so a filed fit is the one the caller would have made. A fit error is
+    filed too, and raised again on every lookup."""
+    key = (X.shape, X.tobytes(), y.tobytes(), config)
     if key not in fits:
-        vals, mask = table.column(column)
         try:
-            if mask.sum() < 2:
-                raise EmptyColumnError(f"column {column!r} has fewer than 2 observed values")
-            fits[key] = fit_gp(table.times[mask, None], vals[mask], fit_config)
+            fits[key] = fit_gp(X, y, config)
         except FIT_ERRORS as exc:
             fits[key] = exc
     if isinstance(fits[key], Exception):
@@ -242,56 +212,53 @@ def _column_fit(table: ObservationTable, column: str, fit_config: FitConfig,
     return fits[key]
 
 
-def _run_method_impute_covariates(
-    method: str, table: ObservationTable, plan_cells, config: ExperimentConfig, seed: int,
-    fits: dict,
+def _run_method(
+    method: str, table: ObservationTable, targets: list[str], config: ExperimentConfig,
+    seed: int, fits: dict,
 ) -> ImputationMethodResult:
-    """One method on a table with masked covariates. The output is fully observed,
-    so the gp method and dgpsi's first layer fit the same problems: both take
-    them from ``fits`` (see :func:`_column_fit`)."""
-    covs = table.covariate_names
+    """One method imputing the ``targets`` columns of a masked table. Every GP fit
+    goes through the window's table ``fits`` (see :func:`_fit`), so the gp method
+    and dgpsi's first layer fit a problem they share once."""
     if method == "locf":
-        current = table
-        for c in covs:
-            current = locf_impute(current, c).filled
-        return ImputationMethodResult(filled=current, variance=None, method_tag=MethodTag.LOCF)
-    if method == "gp":
-        filled = table.copy()
-        variance = np.full_like(table.values, np.nan)
-        for c in covs:
-            model = _column_fit(table, c, config.fit, fits)
-            j = table.col_index(c)
-            miss = ~table.mask[:, j]
-            if miss.any():
+        for c in targets:
+            table = locf_impute(table, c).filled
+        return ImputationMethodResult(filled=table, variance=None, method_tag=MethodTag.LOCF)
+    if method == "mice":
+        # predict-output's constraint: time and the output only
+        columns = [c for c in table.names if c in targets or c == table.output_name]
+        return mice_impute(table, dataclasses.replace(config.mice, seed=seed), columns=columns)
+    if method == "dgpsi":
+        em = train_sem(table, default_architecture(table), config.sem, seed,
+                       fit=functools.partial(_fit, fits))
+    elif method != "gp":
+        raise ValueError(f"unknown method: {method!r}")
+    filled = table.copy()
+    variance = np.full_like(table.values, np.nan)
+    for c in targets:
+        vals, mask = table.column(c)
+        j, miss = table.col_index(c), np.where(~mask)[0]
+        if method == "gp":
+            if mask.sum() < 2:
+                raise EmptyColumnError(f"column {c!r} has fewer than 2 observed values")
+            model = _fit(fits, table.times[mask, None], vals[mask], config.fit)
+            if miss.size:
                 filled.values[miss, j], variance[miss, j] = predict_batch(
                     model, table.times[miss, None])
-            filled.mask[:, j] = True
-        return ImputationMethodResult(filled=filled, variance=variance, method_tag=MethodTag.GP)
-    if method == "mice":
-        mc = dataclasses.replace(config.mice, seed=seed)
-        return mice_impute(table, mc)  # all columns participate in this mode
-    if method == "dgpsi":
-        shared = {}
-        for c in covs:
-            try:
-                shared[c] = _column_fit(table, c, config.sem.fit, fits)
-            except FIT_ERRORS:
-                pass  # train_sem fits the node again and reports its failure by name
-        em = train_sem(table, default_architecture(table), config.sem, seed, first_fits=shared)
-        filled = table.copy()
-        variance = np.full_like(table.values, np.nan)
-        for c in covs:
-            j = table.col_index(c)
-            miss = np.where(~table.mask[:, j])[0]
-            if miss.size == 0:
-                filled.mask[:, j] = True
-                continue
-            preds = impute_covariates(em, table.times[miss], c)
+        elif miss.size:
+            if c == table.output_name:
+                preds = [predict_ensemble(em, [t]) for t in table.times[miss]]
+            else:
+                preds = impute_covariates(em, table.times[miss], c)
             filled.values[miss, j] = [p.mixture.mean for p in preds]
             variance[miss, j] = [p.mixture.variance for p in preds]
-            filled.mask[:, j] = True
-        return ImputationMethodResult(filled=filled, variance=variance, method_tag=MethodTag.DGPSI)
-    raise ValueError(f"unknown method: {method!r}")
+        filled.mask[:, j] = True
+    return ImputationMethodResult(filled=filled, variance=variance, method_tag=MethodTag(method))
+
+
+def _mean_se(maes: list[float]) -> tuple[float, float]:
+    """Mean of per-window MAEs and its standard error across windows (0 for one)."""
+    se = float(np.std(maes, ddof=1) / np.sqrt(len(maes))) if len(maes) > 1 else 0.0
+    return float(np.mean(maes)), se
 
 
 def run_experiment(config: ExperimentConfig) -> EvaluationReport:
@@ -315,7 +282,7 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
     for w, window in enumerate(windows):
         truth = window.table
         for k, prop in enumerate(config.proportions):
-            fits = {}  # first-layer fits of this masked window, shared by gp and dgpsi
+            fits = {}  # GP fits on this masked window, shared by its methods
             mask_seed = _derived_seed(config.seed, w, k, 2)
             if config.mode == MODE_PREDICT_OUTPUT:
                 targets = [truth.output_name]
@@ -328,14 +295,7 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
             for method in methods:
                 method_seed = _derived_seed(config.seed, w, k, 3, methods.index(method))
                 try:
-                    if config.mode == MODE_PREDICT_OUTPUT:
-                        result = _run_method_predict_output(
-                            method, std_masked, cells, config, method_seed
-                        )
-                    else:
-                        result = _run_method_impute_covariates(
-                            method, std_masked, cells, config, method_seed, fits
-                        )
+                    result = _run_method(method, std_masked, targets, config, method_seed, fits)
                     mae = evaluate_mae(std_truth, result, cells)
                     mae_orig = evaluate_mae_original(std_truth, result, cells, record)
                 except FIT_ERRORS as exc:  # recorded, run continues
@@ -367,8 +327,7 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
             maes = per_cell.get((method, prop), [])
             maes_orig = per_cell_orig.get((method, prop), [])
             if maes:
-                mean = float(np.mean(maes))
-                se = float(np.std(maes, ddof=1) / np.sqrt(len(maes))) if len(maes) > 1 else 0.0
+                mean, se = _mean_se(maes)
                 mean_orig = float(np.mean(maes_orig))
             else:
                 mean, se, mean_orig = float("nan"), float("nan"), float("nan")
@@ -384,31 +343,7 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
                 )
             )
 
-    manifest = {
-        "version": __version__,
-        "seed": config.seed,
-        "mode": config.mode,
-        "methods": methods,
-        "proportions": list(config.proportions),
-        "n_windows": config.n_windows,
-        "whole_row_masking": config.whole_row_masking,
-        "synthetic": dataclasses.asdict(config.synthetic),
-        "fit": {
-            "n_starts": config.fit.n_starts,
-            "seed": config.fit.seed,
-            "max_iter": config.fit.max_iter,
-            "lengthscale_range": list(config.fit.lengthscale_range),
-            "nugget_bounds": list(config.fit.nugget_bounds),
-        },
-        "sem": {
-            "iterations": config.sem.iterations,
-            "burn_in": config.sem.burn_in,
-            "ess_sweeps": config.sem.ess_sweeps,
-            "n_imputations": config.sem.n_imputations,
-            "refit_max_iter": config.sem.refit_max_iter,
-        },
-        "mice": dataclasses.asdict(config.mice),
-    }
+    manifest = {"version": __version__, **dataclasses.asdict(config)}
     return EvaluationReport(
         mode=config.mode,
         cells=cells_out,
@@ -453,10 +388,6 @@ def aggregate_results_csv(path: str) -> dict:
             rows.setdefault((method, float(prop)), []).append(float(mae))
     out = {}
     for (method, prop), maes in sorted(rows.items()):
-        se = float(np.std(maes, ddof=1) / np.sqrt(len(maes))) if len(maes) > 1 else 0.0
-        out[f"{method}@{prop}"] = {
-            "n_windows": len(maes),
-            "mean_mae": float(np.mean(maes)),
-            "se_mae": se,
-        }
+        mean, se = _mean_se(maes)
+        out[f"{method}@{prop}"] = {"n_windows": len(maes), "mean_mae": mean, "se_mae": se}
     return out

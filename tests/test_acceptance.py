@@ -373,7 +373,14 @@ def test_criterion_10_report_determinism(tmp_path):
             lengthscale_range=tuple(man["fit"]["lengthscale_range"]),
             nugget_bounds=tuple(man["fit"]["nugget_bounds"]),
         ),
-        sem=SEMConfig(fit=FitConfig(n_starts=2, seed=0), **man["sem"]),
+        sem=SEMConfig(**{
+            **man["sem"],
+            "fit": FitConfig(**{
+                **man["sem"]["fit"],
+                "lengthscale_range": tuple(man["sem"]["fit"]["lengthscale_range"]),
+                "nugget_bounds": tuple(man["sem"]["fit"]["nugget_bounds"]),
+            }),
+        }),
     )
     r2 = run_experiment(config2)
     assert r1.to_json() == r2.to_json()

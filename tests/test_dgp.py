@@ -276,45 +276,30 @@ class TestTrainSEM:
             em.second_hyper.kernel.lengthscales, direct2.hyper.kernel.lengthscales
         )
 
-    @staticmethod
-    def initial_fits(table):
-        """Each latent node's fit against time on its observed values."""
-        fits = {}
-        for name in small_arch().latent_nodes:
-            vals, mask = table.column(name)
-            fits[name] = fit_gp(table.times[mask, None], vals[mask], FAST_SEM.fit)
-        return fits
-
     @pytest.mark.parametrize("masked", [True, False], ids=["masked", "fully-observed"])
-    def test_given_first_fits_replace_its_own(self, monkeypatch, masked):
+    def test_given_fit_replaces_fit_gp(self, monkeypatch, masked):
         table = masked_window(seed=3) if masked else make_window(seed=3)
         ref = train_sem(table, small_arch(), FAST_SEM, 11)
-        fits = self.initial_fits(table)
         shapes = []
-        monkeypatch.setattr(dgp, "fit_gp",
-                            lambda X, y, config: shapes.append(np.shape(X)) or fit_gp(X, y, config))
-        em = train_sem(table, small_arch(), FAST_SEM, 11, first_fits=fits)
-        assert shapes == [(table.n, 3)]  # the second layer's initial fit only
+
+        def spy(X, y, config):
+            shapes.append(np.shape(X))
+            return fit_gp(X, y, config)
+
+        def unused(*args):
+            raise AssertionError("fit_gp called although a fit was given")
+
+        monkeypatch.setattr(dgp, "fit_gp", unused)
+        em = train_sem(table, small_arch(), FAST_SEM, 11, fit=spy)
+        # each latent node's initial fit on its observed rows, then the second layer's
+        nodes = [(int(table.column(c)[1].sum()), 1) for c in small_arch().latent_nodes]
+        assert shapes == nodes + [(table.n, 3)]
         assert em.draws.tobytes() == ref.draws.tobytes()
         assert em.manifest() == ref.manifest()
         for got, want in zip(em.first_hyper + [em.second_hyper],
                              ref.first_hyper + [ref.second_hyper]):
             assert got.kernel.lengthscales.tobytes() == want.kernel.lengthscales.tobytes()
             assert (got.scale, got.nugget) == (want.scale, want.nugget)
-
-    @pytest.mark.parametrize("damage", ["values", "times"])
-    def test_first_fit_on_other_data_refused(self, damage):
-        table = masked_window(seed=3)
-        fits = self.initial_fits(table)
-        vals, mask = table.column("sid")
-        X, y = table.times[mask, None], vals[mask]
-        if damage == "values":
-            y = y + 1.0
-        else:
-            X = X + 0.5
-        fits["sid"] = fit_gp(X, y, FAST_SEM.fit)
-        with pytest.raises(ValueError, match="'sid'"):
-            train_sem(table, small_arch(), FAST_SEM, 11, first_fits=fits)
 
     def test_refits_honour_fit_config_bounds(self):
         # first-layer refits all see the full time grid, so every traced
@@ -371,6 +356,10 @@ class TestTrainSEM:
         with pytest.raises(ValueError):
             train_sem(make_window(), small_arch(),
                       SEMConfig(iterations=2, burn_in=5), 0)
+
+    def test_fit_must_be_a_fit_config(self):
+        with pytest.raises(ValueError, match="fit must be a FitConfig"):
+            SEMConfig(fit={"n_starts": 1})
 
     def test_trains_only_on_observed_output_rows(self):
         table = make_window(seed=7)

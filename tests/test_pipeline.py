@@ -157,12 +157,11 @@ class TestRunExperiment:
                                                 rel=1e-12)
                 assert cells["locf"] and cells["locf"] == cells["gp"]
 
-    @staticmethod
-    def dgpsi_with_failing_fit(monkeypatch, exc):
+    def dgpsi_with_failing_fit(self, monkeypatch, exc):
         def fail(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(gpimpute.dgp, "fit_gp", fail)
+        self.patch_fit_gp(monkeypatch, fail)
         config = ExperimentConfig(mode="predict-output", methods=("dgpsi",), seed=6,
                                   **{**FAST_CONFIG, "n_windows": 1})
         return run_experiment(config)
@@ -184,42 +183,87 @@ class TestRunExperiment:
         for module in (gpimpute.experiment, gpimpute.dgp, gpimpute.baselines):
             monkeypatch.setattr(module, "fit_gp", fit, raising=False)
 
+    def test_fit_table_fits_each_problem_once(self, monkeypatch):
+        calls = []
+        self.patch_fit_gp(monkeypatch, lambda X, y, config: calls.append(1)
+                          or fit_gp(X, y, config))
+        rng = np.random.default_rng(0)
+        X, y = np.linspace(0, 1, 12)[:, None], rng.standard_normal(12)
+        config = FitConfig(n_starts=2, seed=0)
+        fits = {}
+        model = gpimpute.experiment._fit(fits, X, y, config)
+        # equal bytes in other arrays are the same problem
+        assert gpimpute.experiment._fit(fits, X.copy(), y.copy(), config) is model
+        assert len(calls) == 1
+        y2 = y.copy()
+        y2[3] += 1e-9
+        others = [(X, y2, config), (X + 0.5, y, config), (X[1:], y[1:], config),
+                  (X, y, FitConfig(n_starts=2, seed=1))]
+        for Xo, yo, co in others:
+            assert gpimpute.experiment._fit(fits, Xo, yo, co) is not model
+        assert len(calls) == 1 + len(others)
+
+    def test_fit_table_raises_a_filed_error_without_refitting(self, monkeypatch):
+        calls = []
+
+        def fail(X, y, config):
+            calls.append(1)
+            raise FitFailureError("no finite value")
+
+        self.patch_fit_gp(monkeypatch, fail)
+        X, y, fits = np.linspace(0, 1, 5)[:, None], np.arange(5.0), {}
+        for _ in range(2):
+            with pytest.raises(FitFailureError, match="no finite value"):
+                gpimpute.experiment._fit(fits, X, y, FitConfig())
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("methods", [("gp", "dgpsi"), ("dgpsi", "gp")])
     def test_gp_and_dgpsi_share_first_layer_fits(self, monkeypatch, methods):
-        # in impute-covariates the output is fully observed, so gp and dgpsi's
-        # first layer fit the same three covariate problems: each is fitted once
-        # per (window, proportion), plus dgpsi's second layer
         calls = []
         self.patch_fit_gp(monkeypatch, lambda X, y, config: calls.append(np.shape(X))
                           or fit_gp(X, y, config))
-        config = ExperimentConfig(mode="impute-covariates", methods=methods, seed=3,
-                                  **FAST_CONFIG)
-        report = run_experiment(config)
-        assert report.failures == []
-        cells = config.n_windows * len(config.proportions)
-        assert len(calls) == 4 * cells
-        assert sum(shape[1] == 1 for shape in calls) == 3 * cells
+        for mode, per_cell, one_column in [
+            # the output is fully observed, so gp and dgpsi's first layer fit the
+            # same three covariate problems once, plus dgpsi's second layer
+            ("impute-covariates", 4, 3),
+            # gp fits the output; dgpsi its three latents on the output's
+            # observed rows, then its second layer: no problem is shared
+            ("predict-output", 5, 4),
+        ]:
+            calls.clear()
+            config = ExperimentConfig(mode=mode, methods=methods, seed=3, **FAST_CONFIG)
+            report = run_experiment(config)
+            assert report.failures == []
+            cells = config.n_windows * len(config.proportions)
+            assert len(calls) == per_cell * cells
+            assert sum(shape[1] == 1 for shape in calls) == one_column * cells
 
     def test_shared_fit_failure_filed_per_method(self, monkeypatch):
         # a failing first-layer fit is filed as the method's own failure: the
-        # fit's error for gp, an SEMError naming the node for dgpsi
+        # fit's error for gp, an SEMError naming the node for dgpsi; the two
+        # methods together fit the failing problem once
+        calls = []
+
         def fit(X, y, config):
+            calls.append(np.shape(X))
             if np.shape(X)[1] == 1:
                 raise FitFailureError("no finite value")
             return fit_gp(X, y, config)
 
         self.patch_fit_gp(monkeypatch, fit)
-        config = ExperimentConfig(mode="impute-covariates", methods=("gp", "dgpsi"), seed=3,
-                                  **FAST_CONFIG)
-        report = run_experiment(config)
-        assert report.failures == [
-            {"window": w, "method": method, "proportion": 0.2, "type": kind, "error": error}
-            for w in range(config.n_windows)
-            for method, kind, error in [
-                ("gp", "FitFailureError", "no finite value"),
-                ("dgpsi", "SEMError", "initial fit failed for node 'pco2': no finite value"),
+        errors = {"gp": ("FitFailureError", "no finite value"),
+                  "dgpsi": ("SEMError", "initial fit failed for node 'pco2': no finite value")}
+        for methods in [("gp", "dgpsi"), ("dgpsi", "gp")]:
+            calls.clear()
+            config = ExperimentConfig(mode="impute-covariates", methods=methods, seed=3,
+                                      **FAST_CONFIG)
+            report = run_experiment(config)
+            assert report.failures == [
+                {"window": w, "method": method, "proportion": 0.2,
+                 "type": errors[method][0], "error": errors[method][1]}
+                for w in range(config.n_windows) for method in methods
             ]
-        ]
+            assert len(calls) == config.n_windows * len(config.proportions)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown methods"):
@@ -314,6 +358,8 @@ class TestCLI:
             ({"seed": -1}, "seed"),
             ({"fit": {"seed": -1}}, "seed"),
             ({"mice": {"seed": -1}}, "seed"),
+            ({"sem": {"fit": {"n_starts": 0}}}, "n_starts"),
+            ({"sem": {"fit": 3}}, "fit"),
         ],
         ids=["fit-family", "sem-sweep-order", "top-level-typo", "bad-mode", "sem-burn-in",
              "sem-zero-imputations", "fit-nugget-bounds", "proportion-above-one",
@@ -322,7 +368,8 @@ class TestCLI:
              "mice-negative-ridge", "fractional-windows", "boolean-windows", "fractional-seed",
              "fractional-fit-starts", "fractional-synthetic-length", "fractional-sem-sweeps",
              "fractional-mice-cycles", "string-whole-row-masking", "negative-seed",
-             "negative-fit-seed", "negative-mice-seed"],
+             "negative-fit-seed", "negative-mice-seed", "sem-fit-zero-starts",
+             "sem-fit-not-an-object"],
     )
     def test_run_rejects_bad_config_before_any_cell(self, tmp_path, bad, key):
         cfg = {
@@ -347,6 +394,31 @@ class TestCLI:
             self.run_cli("generate", "--windows", "1", "--seed", "-1", "--out", str(out))
         assert "--seed" in str(exc.value.code)
         assert not out.exists()
+
+    @pytest.mark.parametrize("windows", ["0", "-1"])
+    def test_generate_rejects_fewer_than_one_window(self, tmp_path, windows):
+        out = tmp_path / "windows"
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("generate", "--windows", windows, "--out", str(out))
+        assert "--windows" in str(exc.value.code)
+        assert not out.exists()
+
+    def test_run_takes_a_nested_sem_fit(self, tmp_path):
+        sem_fit = {"n_starts": 1, "seed": 2, "max_iter": 50, "lengthscale_range": [0.05, 5.0],
+                   "nugget_bounds": [1e-6, 0.5]}
+        cfg = {
+            "mode": "impute-covariates", "methods": ["dgpsi"], "proportions": [0.2],
+            "n_windows": 1, "synthetic": {"min_length": 20, "max_length": 20},
+            "sem": {"iterations": 2, "burn_in": 1, "ess_sweeps": 1, "n_imputations": 2,
+                    "fit": sem_fit},
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "results"
+        self.run_cli("run", "--config", str(cfg_path), "--out", str(out))
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["failures"] == []
+        assert payload["manifest"]["sem"]["fit"] == sem_fit
 
     def test_inspect_emulator_dir(self, tmp_path, capsys):
         from gpimpute.data import generate_synthetic_window
