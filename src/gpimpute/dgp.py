@@ -454,13 +454,18 @@ def save_emulator(em: DGPSIEmulator, directory: str):
         json.dump(em.manifest(), fh, indent=2, sort_keys=True)
     np.savetxt(os.path.join(directory, "training_inputs.csv"), em.train_X, delimiter=",")
     np.savetxt(os.path.join(directory, "training_outputs.csv"), em.train_y, delimiter=",")
-    fixed = np.broadcast_to(em.latent_mask, em.draws.shape)
-    draw, row, col = np.indices(em.draws.shape).reshape(3, -1)
-    # 17 significant digits round-trip every float64 bitwise
-    np.savetxt(os.path.join(directory, "imputations.csv"),
-               np.column_stack([draw, row, col, em.draws.ravel(), fixed.ravel()]),
-               fmt=["%d", "%d", "%d", "%.17g", "%d"], delimiter=",",
-               header="draw,row,col,value,fixed", comments="")
+    # one line "draw,row,col,value,fixed" per cell; 17 significant digits
+    # round-trip every float64 bitwise. The part of a line after the draw is one
+    # template per (row, col) cell, shared by every draw.
+    row, col = np.indices(em.latent_mask.shape).reshape(2, -1)
+    cells = [f"{r},{c},%.17g,{int(f)}\n" for r, c, f in
+             zip(row.tolist(), col.tolist(), em.latent_mask.ravel().tolist())]
+    lines = ["draw,row,col,value,fixed\n"]
+    for s, values in enumerate(em.draws.reshape(len(em.draws), -1).tolist()):
+        draw = f"{s},"
+        lines += [draw + cell % value for cell, value in zip(cells, values)]
+    with open(os.path.join(directory, "imputations.csv"), "w") as fh:
+        fh.write("".join(lines))
 
 
 def _saved_kernel(entry: dict) -> KernelSpec:
@@ -487,8 +492,11 @@ def load_emulator(directory: str) -> DGPSIEmulator:
     e2 = manifest["second_layer"]
     second_hyper = GPHyperparams(kernel=_saved_kernel(e2), scale=e2["scale"], nugget=e2["nugget"])
     X = np.loadtxt(os.path.join(directory, "training_inputs.csv"), delimiter=",", ndmin=2)
-    y = np.loadtxt(os.path.join(directory, "training_outputs.csv"), delimiter=",").ravel()
+    y_path = os.path.join(directory, "training_outputs.csv")
+    y = np.loadtxt(y_path, delimiter=",").ravel()
     n = X.shape[0]
+    if y.shape[0] != n:
+        raise ValueError(f"{y_path}: {y.shape[0]} outputs for {n} training inputs")
     p = len(first_hyper)
     path = os.path.join(directory, "imputations.csv")
     cells = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)  # draw,row,col,value,fixed
@@ -503,8 +511,12 @@ def load_emulator(directory: str) -> DGPSIEmulator:
     if not (fixed == fixed[0]).all():
         raise ValueError(f"{path}: the fixed flag of each (row, col) cell must be the "
                          "same in every draw")
+    draws = cells[:, 3].reshape(-1, n, p)
+    if not (draws[:, fixed[0]] == draws[0, fixed[0]]).all():
+        raise ValueError(f"{path}: the value of each fixed (observed) cell must be the "
+                         "same in every draw")
     return DGPSIEmulator(
         architecture=arch, first_hyper=first_hyper, second_hyper=second_hyper,
-        draws=cells[:, 3].reshape(-1, n, p), latent_mask=fixed[0],
+        draws=draws, latent_mask=fixed[0],
         rng_seed=manifest.get("rng_seed"), train_X=X, train_y=y,
     )

@@ -91,6 +91,11 @@ class ExperimentConfig:
                              f"got {list(self.proportions)}")
         if self.n_windows < 1:
             raise ValueError("n_windows must be >= 1")
+        for name, cls in (("synthetic", SyntheticConfig), ("fit", FitConfig),
+                          ("sem", SEMConfig), ("mice", MICEConfig)):
+            if not isinstance(getattr(self, name), cls):
+                raise ValueError(f"{name} must be a {cls.__name__}, "
+                                 f"got {getattr(self, name)!r}")
 
 
 @dataclass

@@ -18,6 +18,13 @@ into calls small enough that OpenBLAS runs them on the calling thread (see
 ``SERIAL_SOLVE_SIZE``). The closed-form expectations in :func:`expect_k` and
 :func:`expect_kk` are derived for this convention and are validated against
 Gauss-Hermite quadrature and Monte Carlo in the test suite.
+:func:`expect_kk_pairwise`, the all-pairs J that linked prediction uses, sums
+the exponents of every dimension and both kernels before one exponential:
+
+    J_ij = prod_d (1 + 4 v_d / l_d^2)^(-1/2) * exp(-d2(W_i, W_j) / 2 - ||u_i + u_j||^2)
+
+with u = (m - W) / sqrt(2 (l^2 + 4 v)) and d2 the same scaled distance R is
+built from.
 """
 
 from __future__ import annotations
@@ -227,7 +234,14 @@ def expect_k(spec: KernelSpec, m, v, w) -> np.ndarray | float:
 def expect_kk_pairwise(spec: KernelSpec, m, v, W: np.ndarray) -> np.ndarray:
     """All-pairs version of :func:`expect_kk`: entry (i, j) is E[k(W0, W_i) k(W0, W_j)].
 
-    ``W`` has shape (N, D); returns an (N, N) symmetric matrix.
+    ``W`` has shape (N, D); returns an (N, N) matrix. The product over dimensions
+    of :func:`expect_kk` is taken as one exponential of one summed exponent:
+
+        J_ij = prod_d (1 + 4 v_d / l_d^2)^(-1/2)
+               * exp(-d2(W_i, W_j) / 2 - ||u_i + u_j||^2),
+        u = (m - W) / sqrt(2 (l^2 + 4 v)),
+
+    with d2 = :func:`scaled_sq_dist`. Both terms are exactly symmetric, so J is.
     """
     m = np.atleast_1d(np.asarray(m, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
@@ -235,18 +249,15 @@ def expect_kk_pairwise(spec: KernelSpec, m, v, W: np.ndarray) -> np.ndarray:
         raise ValueError("variance must be non-negative")
     W = np.atleast_2d(np.asarray(W, dtype=float))
     l2 = spec.lengthscales**2
-    out = np.ones((W.shape[0], W.shape[0]))
-    for d in range(W.shape[1]):
-        wi = W[:, d, None]
-        wj = W[None, :, d]
-        wbar = 0.5 * (wi + wj)
-        denom = l2[d] + 4.0 * v[d]
-        out *= (
-            np.exp(-((wi - wj) ** 2) / (2.0 * l2[d]))
-            * np.sqrt(l2[d] / denom)
-            * np.exp(-2.0 * (m[d] - wbar) ** 2 / denom)
-        )
-    return out
+    denom = l2 + 4.0 * v
+    u = (m - W) / np.sqrt(2.0 * denom)
+    # ||u_i - (-u_j)||^2 sums (u_i + u_j)^2, which is bitwise symmetric in i, j
+    exponent = scaled_sq_dist(spec, W, W)
+    exponent *= -0.5
+    exponent -= cdist(u, -u, "sqeuclidean")
+    J = np.exp(exponent, out=exponent)
+    J *= np.prod(np.sqrt(l2 / denom))
+    return J
 
 
 def expect_kk(spec: KernelSpec, m, v, w_i, w_j) -> np.ndarray | float:

@@ -8,8 +8,14 @@ second-layer training latents w (N x P), the propagated moments are
             + sigma^2 (1 + eta - tr[R(w)^-1 J])
 
 with I_i = prod_p E[k_p(W_p, w_ip)] and J_ij = prod_p E[k_p(W_p, w_ip) k_p(W_p, w_jp)],
-the expectations taken under W_p ~ Normal(m_p, v_p). The trace term is computed
-as the elementwise sum of R^-1 * J, never as an explicit matrix product.
+the expectations taken under W_p ~ Normal(m_p, v_p). J is built with one
+exponential of one summed exponent (:func:`kernels.expect_kk_pairwise`):
+
+    J_ij = prod_p (1 + 4 v_p / l_p^2)^(-1/2) * exp(-d2(w_i, w_j) / 2 - ||u_i + u_j||^2)
+
+where d2 is the lengthscale-scaled squared distance R(w) is built from and
+u_i = (m - w_i) / sqrt(2 (l^2 + 4 v)). The trace term is computed as the
+elementwise sum of R^-1 * J, never as an explicit matrix product.
 """
 
 from __future__ import annotations

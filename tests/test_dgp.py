@@ -468,7 +468,8 @@ class TestPersistence:
             assert a.mixture.mean == pytest.approx(b.mixture.mean, rel=1e-12)
             assert a.mixture.variance == pytest.approx(b.mixture.variance, rel=1e-10, abs=1e-14)
 
-    @pytest.mark.parametrize("damage", ["truncated", "duplicated-line", "fixed-differs"])
+    @pytest.mark.parametrize("damage", ["truncated", "duplicated-line", "fixed-differs",
+                                        "fixed-value-differs"])
     def test_incomplete_imputations_refused(self, tmp_path, damage):
         em = train_sem(masked_window(seed=11), small_arch(), FAST_SEM, 4)
         save_emulator(em, str(tmp_path / "em"))
@@ -478,12 +479,47 @@ class TestPersistence:
             lines = lines[:-40]
         elif damage == "duplicated-line":
             lines = lines + lines[-1:]
-        else:  # the last draw alone marks its last cell the other way
+        elif damage == "fixed-differs":  # the last draw alone marks its last cell the other way
             head, flag = lines[-1].rstrip("\n").rsplit(",", 1)
             lines[-1] = f"{head},{1 - int(flag)}\n"
+        else:  # draw 3 alone holds another value in its first observed cell
+            i = next(i for i, line in enumerate(lines)
+                     if line.startswith("3,") and line.endswith(",1\n"))
+            draw, row, col, _, _ = lines[i].split(",")
+            lines[i] = f"{draw},{row},{col},123.0,1\n"
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match="imputations.csv"):
             load_emulator(str(tmp_path / "em"))
+
+    def test_training_outputs_of_other_length_refused(self, tmp_path):
+        em = train_sem(masked_window(seed=11), small_arch(), FAST_SEM, 4)
+        save_emulator(em, str(tmp_path / "em"))
+        path = tmp_path / "em" / "training_outputs.csv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        with pytest.raises(ValueError, match="training_outputs.csv"):
+            load_emulator(str(tmp_path / "em"))
+
+    def test_imputations_format_pinned_and_round_trips_bitwise(self, tmp_path):
+        """imputations.csv is the bytes numpy's savetxt writes for the same cells,
+        and edge values (negative zero, the smallest subnormal, near-overflow,
+        inexact decimals) load back bitwise."""
+        em = train_sem(masked_window(seed=11), small_arch(), FAST_SEM, 4)
+        edges = np.array([-0.0, 5e-324, 1e308, 0.1, -1.5e-7])
+        k = np.arange(em.draws.size).reshape(em.draws.shape)
+        k[:, em.latent_mask] = k[0, em.latent_mask]  # observed cells equal in every draw
+        em.draws = edges[k % edges.size]
+        save_emulator(em, str(tmp_path / "em"))
+        fixed = np.broadcast_to(em.latent_mask, em.draws.shape)
+        draw, row, col = np.indices(em.draws.shape).reshape(3, -1)
+        np.savetxt(tmp_path / "reference.csv",
+                   np.column_stack([draw, row, col, em.draws.ravel(), fixed.ravel()]),
+                   fmt=["%d", "%d", "%d", "%.17g", "%d"], delimiter=",",
+                   header="draw,row,col,value,fixed", comments="")
+        saved = (tmp_path / "em" / "imputations.csv").read_bytes()
+        assert saved == (tmp_path / "reference.csv").read_bytes()
+        back = load_emulator(str(tmp_path / "em"))
+        assert back.draws.tobytes() == em.draws.tobytes()
+        assert np.array_equal(back.latent_mask, em.latent_mask)
 
     @staticmethod
     def legacy_save(tmp_path, first_family="squared_exponential",

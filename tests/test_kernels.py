@@ -325,3 +325,37 @@ class TestExpectKK:
         for i in range(5):
             for j in range(5):
                 assert J[i, j] == pytest.approx(expect_kk(spec, m, v, W[i], W[j]), rel=1e-12)
+
+
+def pairwise_product_form(spec, m, v, W):
+    """J as the product over dimensions of expect_kk's three factors, each an
+    (N, N) array: the reference the one-exponential form is checked against."""
+    l2 = spec.lengthscales**2
+    out = np.ones((W.shape[0], W.shape[0]))
+    for d in range(W.shape[1]):
+        wi, wj = W[:, d, None], W[None, :, d]
+        denom = l2[d] + 4.0 * v[d]
+        out *= (np.exp(-((wi - wj) ** 2) / (2.0 * l2[d])) * np.sqrt(l2[d] / denom)
+                * np.exp(-2.0 * (m[d] - 0.5 * (wi + wj)) ** 2 / denom))
+    return out
+
+
+class TestExpectKKPairwise:
+    @pytest.mark.parametrize("case", ["random", "zero-variance", "underflow"])
+    def test_symmetric_and_matches_product_form(self, case):
+        rng = np.random.default_rng(14)
+        spec = se(0.7, 1.3, 0.4)
+        W = rng.normal(0.0, 1.0, (40, 3))
+        m, v = rng.normal(0.0, 0.5, 3), rng.uniform(0.0, 0.5, 3)
+        if case == "zero-variance":
+            v[1] = 0.0
+        elif case == "underflow":
+            v[:] = 0.0
+            W[:10] += 30.0  # exponents of -1000s between these rows and the rest
+        J = expect_kk_pairwise(spec, m, v, W)
+        ref = pairwise_product_form(spec, m, v, W)
+        assert np.array_equal(J, J.T)
+        np.testing.assert_allclose(J, ref, rtol=1e-13, atol=np.finfo(float).tiny)
+        if case == "underflow":
+            assert (J[:10, 10:] == 0).all() and (ref[:10, 10:] == 0).all()
+            assert (J[10:, 10:] > 0).any()

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -272,6 +273,12 @@ class TestRunExperiment:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown mode"):
             ExperimentConfig(mode="extrapolate")
+
+    @pytest.mark.parametrize("section", ["synthetic", "fit", "sem", "mice"])
+    def test_sections_must_be_their_config_class(self, section):
+        as_dict = dataclasses.asdict(FAST_CONFIG[section])
+        with pytest.raises(ValueError, match=f"{section} must be a"):
+            ExperimentConfig(**{**FAST_CONFIG, section: as_dict})
 
     def test_integer_fields_take_numpy_ints_not_floats(self):
         int_fields = {
