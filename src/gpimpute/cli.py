@@ -26,6 +26,17 @@ it. An unknown key or a bad value stops ``run`` before any cell runs. Schema
             "fit": {... FitConfig fields, as in "fit" ...}},
     "mice": {"n_imputations": 5, "cycles": 10}
   }
+
+``run`` writes three files to ``--out``:
+
+  report.json      the manifest, the typed failures, and per (method,
+                   proportion) ``results``: ``windows``, the ids of the windows
+                   scored, with ``per_window_mae`` and ``per_window_mae_original``
+                   in the same order, their means and ``se_mae``
+  results.csv      ``window,method,proportion,mae``, one row per scored window;
+                   ``window`` is the window's id, so a failed window is a gap
+  predictions.csv  one row per masked cell of each scored window, from which
+                   each MAE is computed
 """
 
 from __future__ import annotations

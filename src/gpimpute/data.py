@@ -320,6 +320,14 @@ def require_ints(config, *names: str):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _finite_reals(values, n: int) -> bool:
+    """Whether ``values`` is a list or tuple of ``n`` finite real numbers (a bool
+    is not one)."""
+    return (isinstance(values, (tuple, list)) and len(values) == n
+            and all(isinstance(v, (int, float, np.integer, np.floating))
+                    and not isinstance(v, bool) and math.isfinite(v) for v in values))
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Stewart-Fencl-style synthetic window: three smooth latent covariates drive
@@ -342,15 +350,30 @@ class SyntheticConfig:
         require_ints(self, "min_length", "max_length")
         if not 1 <= self.min_length <= self.max_length:
             raise ValueError("min_length and max_length must satisfy 1 <= min_length <= max_length")
+        if self.readout_nonlinearity not in ("tanh", "identity"):
+            raise ValueError(f"readout_nonlinearity must be 'tanh' or 'identity', "
+                             f"got {self.readout_nonlinearity!r}")
+        if not _finite_reals(self.readout_weights, 3):
+            raise ValueError(f"readout_weights must be 3 finite numbers, "
+                             f"got {self.readout_weights!r}")
+        low_high = self.latent_lengthscale_range
+        if not (_finite_reals(low_high, 2) and 0 < low_high[0] <= low_high[1]):
+            raise ValueError(f"latent_lengthscale_range must be finite with 0 < low <= high, "
+                             f"got {low_high!r}")
+        for name in ("output_noise_sd", "covariate_noise_sd"):
+            sd = getattr(self, name)
+            if not (_finite_reals((sd,), 1) and sd >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {sd!r}")
+        covs = self.covariate_names
+        names = (self.output_name, *covs) if isinstance(covs, (tuple, list)) else ()
+        if not (len(names) == 4 and all(isinstance(c, str) for c in names)
+                and len(set(names)) == 4):
+            raise ValueError(f"covariate_names must be 3 distinct names, none equal to "
+                             f"output_name {self.output_name!r}, got {covs!r}")
 
     def readout(self, latents: np.ndarray) -> np.ndarray:
         """Noiseless output as a function of the (N, 3) latent matrix."""
-        if self.readout_nonlinearity == "tanh":
-            g = np.tanh
-        elif self.readout_nonlinearity == "identity":
-            g = lambda z: z  # noqa: E731
-        else:
-            raise ValueError(f"unknown nonlinearity: {self.readout_nonlinearity!r}")
+        g = np.tanh if self.readout_nonlinearity == "tanh" else (lambda z: z)
         w1, w2, w3 = self.readout_weights
         return -w1 * g(latents[:, 0]) + w2 * g(latents[:, 1]) - w3 * g(latents[:, 2])
 

@@ -31,6 +31,7 @@ from .baselines import (
     mice_impute,
 )
 from .data import (
+    DegenerateColumnError,
     EmptyColumnError,
     ObservationTable,
     StandardisationRecord,
@@ -86,9 +87,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods: {bad}")
         if not self.methods or len(set(self.methods)) != len(self.methods):
             raise ValueError(f"methods must be non-empty and unique, got {list(self.methods)}")
-        if not self.proportions or not all(0 < p < 1 for p in self.proportions):
-            raise ValueError(f"proportions must be non-empty and lie in (0, 1), "
-                             f"got {list(self.proportions)}")
+        props = list(self.proportions)
+        if not props or len(set(props)) != len(props) or not all(0 < p < 1 for p in props):
+            raise ValueError(f"proportions must be non-empty, unique and lie in (0, 1), "
+                             f"got {props}")
         if self.n_windows < 1:
             raise ValueError("n_windows must be >= 1")
         for name, cls in (("synthetic", SyntheticConfig), ("fit", FitConfig),
@@ -116,6 +118,7 @@ class MethodCell:
 
     method: str
     proportion: float
+    windows: list[int]  # the id of the window each per-window MAE scores
     per_window_mae: list[float]
     mean_mae: float
     se_mae: float
@@ -142,44 +145,41 @@ class EvaluationReport:
             "mode": self.mode,
             "manifest": self.manifest,
             "failures": self.failures,
-            "results": [
-                {
-                    "method": c.method,
-                    "proportion": c.proportion,
-                    "per_window_mae": c.per_window_mae,
-                    "mean_mae": c.mean_mae,
-                    "se_mae": c.se_mae,
-                    "per_window_mae_original": c.per_window_mae_original,
-                    "mean_mae_original": c.mean_mae_original,
-                }
-                for c in self.cells
-            ],
+            "results": [dataclasses.asdict(c) for c in self.cells],
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def evaluate_mae(truth: ObservationTable, result: ImputationMethodResult, cells) -> float:
-    """Mean absolute error over the evaluated cells, in the table's units."""
+def evaluate_mae(rows: list[CellPrediction], sds: dict[str, float] | None = None) -> float:
+    """Mean absolute error of the rows' means against their truths: in the
+    standardised units they hold, or in original units when ``sds`` maps each
+    variable to its sd. Summed in row order from 0.0, not by ``sum`` (compensated
+    from Python 3.12), so the same rows read back from predictions.csv give the
+    same bits."""
     total = 0.0
+    for p in rows:
+        total += abs(p.truth - p.mean) * (sds[p.variable] if sds else 1.0)
+    return total / len(rows) if rows else 0.0
+
+
+def _cell_predictions(
+    w: int, method: str, prop: float, result: ImputationMethodResult,
+    truth: ObservationTable, record: StandardisationRecord, cells,
+) -> list[CellPrediction]:
+    """One row per masked cell, in plan order, with the truth z-scored by
+    ``record`` into the units the method predicted in."""
+    rows = []
     for i, j in cells:
         if not result.filled.mask[i, j]:
             raise IncompleteResultError(f"no prediction at cell ({i}, {j})")
-        total += abs(truth.values[i, j] - result.filled.values[i, j])
-    return float(total / len(cells)) if cells else 0.0
-
-
-def evaluate_mae_original(
-    truth: ObservationTable,
-    result: ImputationMethodResult,
-    cells,
-    record: StandardisationRecord,
-) -> float:
-    """As :func:`evaluate_mae` but rescaled to original per-column units."""
-    total = 0.0
-    for i, j in cells:
-        sd = record.sds[truth.names[j]]
-        total += abs(truth.values[i, j] - result.filled.values[i, j]) * sd
-    return float(total / len(cells)) if cells else 0.0
+        name = truth.names[j]
+        var = np.nan if result.variance is None else float(result.variance[i, j])
+        rows.append(CellPrediction(
+            window=w, method=method, proportion=prop, time=float(truth.times[i]),
+            variable=name, mean=float(result.filled.values[i, j]), variance=var,
+            truth=float((truth.values[i, j] - record.means[name]) / record.sds[name]),
+        ))
+    return rows
 
 
 def default_architecture(table: ObservationTable) -> LayerArchitecture:
@@ -189,16 +189,6 @@ def default_architecture(table: ObservationTable) -> LayerArchitecture:
 
 def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
-
-
-def _standardise_pair(masked: ObservationTable, truth: ObservationTable):
-    """Standardise the masked table on its observed cells; apply the same record
-    to the ground-truth table so evaluation happens in the same units."""
-    std_masked, record = standardise(masked)
-    std_truth = truth.copy()
-    for j, name in enumerate(truth.names):
-        std_truth.values[:, j] = (truth.values[:, j] - record.means[name]) / record.sds[name]
-    return std_masked, std_truth, record
 
 
 def _fit(fits: dict, X: np.ndarray, y: np.ndarray, config: FitConfig) -> FittedGP:
@@ -266,11 +256,18 @@ def _mean_se(maes: list[float]) -> tuple[float, float]:
     return float(np.mean(maes)), se
 
 
+def _failure(w: int, method: str, prop: float, exc: Exception) -> dict:
+    """The report's record of a (window, method, proportion) job that raised ``exc``."""
+    return {"window": w, "method": method, "proportion": prop,
+            "type": type(exc).__name__, "error": str(exc)}
+
+
 def run_experiment(config: ExperimentConfig) -> EvaluationReport:
     """Mask -> fit -> impute -> evaluate per window/method/proportion.
 
     A method's ``FIT_ERRORS`` are recorded with their type per (window, method,
-    proportion) and the run continues; any other exception propagates.
+    proportion) and the run continues; so is a masked table too short to
+    standardise, once for each method. Any other exception propagates.
     Deterministic: all RNG streams derive from ``config.seed``.
     """
     methods = list(config.methods)
@@ -279,8 +276,8 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
         rng = np.random.default_rng(_derived_seed(config.seed, w, 1))
         windows.append(generate_synthetic_window(config.synthetic, rng))
 
-    per_cell: dict[tuple[str, float], list[float]] = {}
-    per_cell_orig: dict[tuple[str, float], list[float]] = {}
+    # one (window, mae, mae_original) per scored window of a (method, proportion)
+    scores: dict[tuple[str, float], list[tuple[int, float, float]]] = {}
     failures: list[dict] = []
     predictions: list[CellPrediction] = []
 
@@ -294,57 +291,41 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
             else:
                 targets = truth.covariate_names
             plan = make_mask_plan(truth, prop, targets, mask_seed, config.whole_row_masking)
-            masked = apply_mask(truth, plan)
-            std_masked, std_truth, record = _standardise_pair(masked, truth)
-            cells = [(i, j) for i, j in plan.masked_cells]
+            try:
+                std_masked, record = standardise(apply_mask(truth, plan))
+            except DegenerateColumnError as exc:  # no method can run on this table
+                failures.extend(_failure(w, method, prop, exc) for method in methods)
+                continue
             for method in methods:
                 method_seed = _derived_seed(config.seed, w, k, 3, methods.index(method))
                 try:
                     result = _run_method(method, std_masked, targets, config, method_seed, fits)
-                    mae = evaluate_mae(std_truth, result, cells)
-                    mae_orig = evaluate_mae_original(std_truth, result, cells, record)
+                    rows = _cell_predictions(w, method, prop, result, truth, record,
+                                             plan.masked_cells)
                 except FIT_ERRORS as exc:  # recorded, run continues
-                    failures.append({"window": w, "method": method, "proportion": prop,
-                                     "type": type(exc).__name__, "error": str(exc)})
+                    failures.append(_failure(w, method, prop, exc))
                     continue
-                per_cell.setdefault((method, prop), []).append(mae)
-                per_cell_orig.setdefault((method, prop), []).append(mae_orig)
-                for i, j in cells:
-                    var = np.nan
-                    if result.variance is not None:
-                        var = float(result.variance[i, j])
-                    predictions.append(
-                        CellPrediction(
-                            window=w,
-                            method=method,
-                            proportion=prop,
-                            time=float(std_truth.times[i]),
-                            variable=std_truth.names[j],
-                            mean=float(result.filled.values[i, j]),
-                            variance=var,
-                            truth=float(std_truth.values[i, j]),
-                        )
-                    )
+                scores.setdefault((method, prop), []).append(
+                    (w, evaluate_mae(rows), evaluate_mae(rows, record.sds)))
+                predictions.extend(rows)
 
+    nan = float("nan")
     cells_out = []
     for method in methods:
         for prop in config.proportions:
-            maes = per_cell.get((method, prop), [])
-            maes_orig = per_cell_orig.get((method, prop), [])
-            if maes:
-                mean, se = _mean_se(maes)
-                mean_orig = float(np.mean(maes_orig))
-            else:
-                mean, se, mean_orig = float("nan"), float("nan"), float("nan")
+            scored = scores.get((method, prop), [])
+            ws, maes, maes_orig = ([s[col] for s in scored] for col in range(3))
+            mean, se = _mean_se(maes) if scored else (nan, nan)
             cells_out.append(
                 MethodCell(
                     method=method,
                     proportion=prop,
+                    windows=ws,
                     per_window_mae=maes,
                     mean_mae=mean,
                     se_mae=se,
                     per_window_mae_original=maes_orig,
-                    mean_mae_original=mean_orig,
+                    mean_mae_original=float(np.mean(maes_orig)) if scored else nan,
                 )
             )
 
@@ -359,11 +340,11 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
 
 
 def write_results_csv(report: EvaluationReport, path: str):
-    """Long-format `window,method,proportion,mae` rows."""
+    """Long-format `window,method,proportion,mae` rows; `window` is the window's id."""
     with open(path, "w") as fh:
         fh.write("window,method,proportion,mae\n")
         for c in report.cells:
-            for w, mae in enumerate(c.per_window_mae):
+            for w, mae in zip(c.windows, c.per_window_mae):
                 fh.write(f"{w},{c.method},{float(c.proportion)!r},{float(mae)!r}\n")
 
 

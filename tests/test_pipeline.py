@@ -9,11 +9,12 @@ import gpimpute.baselines
 import gpimpute.dgp
 import gpimpute.experiment
 from gpimpute.baselines import ImputationMethodResult, MethodTag, MICEConfig
-from gpimpute.data import ObservationTable, SyntheticConfig
-from gpimpute.dgp import SEMConfig
+from gpimpute.data import ObservationTable, StandardisationRecord, SyntheticConfig
+from gpimpute.dgp import SEMConfig, SEMError
 from gpimpute.experiment import (
     ExperimentConfig,
     IncompleteResultError,
+    _cell_predictions,
     aggregate_results_csv,
     default_architecture,
     evaluate_mae,
@@ -45,28 +46,31 @@ def table_of(values, mask):
 
 
 class TestEvaluateMAE:
-    def test_hand_case(self):
+    # truth in original units; standardised by RECORD, y's truths are 0.0 and 0.5
+    RECORD = StandardisationRecord(means={"y": 1.0, "x": 0.0}, sds={"y": 2.0, "x": 1.0})
+
+    def rows(self, filled):
         truth = table_of([[1.0, 0.0], [2.0, 0.0]], np.ones((2, 2)))
-        pred = truth.copy()
-        pred.values[0, 0] = 1.1
-        pred.values[1, 0] = 2.3
-        result = ImputationMethodResult(filled=pred, variance=None, method_tag=MethodTag.LOCF)
-        cells = [(0, 0), (1, 0)]
-        assert evaluate_mae(truth, result, cells) == pytest.approx(0.2)
+        result = ImputationMethodResult(filled=filled, variance=None, method_tag=MethodTag.LOCF)
+        return _cell_predictions(0, "locf", 0.2, result, truth, self.RECORD, [(0, 0), (1, 0)])
+
+    def test_hand_case(self):
+        rows = self.rows(table_of([[0.1, 0.0], [0.8, 0.0]], np.ones((2, 2))))
+        assert [p.truth for p in rows] == [0.0, 0.5]
+        assert all(np.isnan(p.variance) for p in rows)
+        assert evaluate_mae(rows) == pytest.approx(0.2)
+        # each error rescaled by its variable's sd: y's is 2
+        assert evaluate_mae(rows, self.RECORD.sds) == pytest.approx(0.4)
 
     def test_empty_cells_zero(self):
-        truth = table_of([[1.0, 0.0], [2.0, 0.0]], np.ones((2, 2)))
-        result = ImputationMethodResult(filled=truth.copy(), variance=None,
-                                        method_tag=MethodTag.LOCF)
-        assert evaluate_mae(truth, result, []) == 0.0
+        assert evaluate_mae([]) == 0.0
+        assert evaluate_mae([], self.RECORD.sds) == 0.0
 
     def test_missing_prediction_raises(self):
-        truth = table_of([[1.0, 0.0], [2.0, 0.0]], np.ones((2, 2)))
-        holed = truth.copy()
-        holed.mask[0, 0] = False
-        result = ImputationMethodResult(filled=holed, variance=None, method_tag=MethodTag.LOCF)
-        with pytest.raises(IncompleteResultError):
-            evaluate_mae(truth, result, [(0, 0)])
+        holed = table_of([[0.1, 0.0], [0.8, 0.0]], np.ones((2, 2)))
+        holed.mask[1, 0] = False
+        with pytest.raises(IncompleteResultError, match="cell \\(1, 0\\)"):
+            self.rows(holed)
 
 
 class TestDefaultArchitecture:
@@ -177,6 +181,52 @@ class TestRunExperiment:
         assert failure["type"] == "SEMError"
         assert "initial fit failed" in failure["error"]
         assert "no finite value" in failure["error"]
+
+    def run_with_first_sem_failing(self, monkeypatch, tmp_path):
+        """A written 2-window impute-covariates run whose first train_sem call,
+        dgpsi's on window 0, raises."""
+        calls = []
+
+        def train_sem(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise SEMError("forced failure")
+            return gpimpute.dgp.train_sem(*args, **kwargs)
+
+        monkeypatch.setattr(gpimpute.experiment, "train_sem", train_sem)
+        config = ExperimentConfig(mode="impute-covariates", methods=("locf", "dgpsi"), seed=7,
+                                  **FAST_CONFIG)
+        report = run_experiment(config)
+        assert [(f["window"], f["method"]) for f in report.failures] == [(0, "dgpsi")]
+        write_report(report, str(tmp_path))
+        return report
+
+    def test_results_name_the_scored_window_after_a_failure(self, monkeypatch, tmp_path):
+        report = self.run_with_first_sem_failing(monkeypatch, tmp_path)
+        with open(tmp_path / "results.csv", newline="") as fh:
+            rows = [(r["window"], r["method"]) for r in csv.DictReader(fh)]
+        assert rows == [("0", "locf"), ("1", "locf"), ("1", "dgpsi")]
+        results = json.loads((tmp_path / "report.json").read_text())["results"]
+        assert [r["windows"] for r in results] == [[0, 1], [1]]
+        assert report.lookup("dgpsi", 0.2).windows == [1]
+
+    def test_results_equal_mae_of_their_prediction_rows(self, monkeypatch, tmp_path):
+        # bitwise: each MAE is the row-order mean of its predictions.csv rows
+        self.run_with_first_sem_failing(monkeypatch, tmp_path)
+        errors: dict[tuple[str, str, float], list[float]] = {}
+        with open(tmp_path / "predictions.csv", newline="") as fh:
+            for r in csv.DictReader(fh):
+                key = (r["window"], r["method"], float(r["proportion"]))
+                errors.setdefault(key, []).append(abs(float(r["truth"]) - float(r["mean"])))
+        with open(tmp_path / "results.csv", newline="") as fh:
+            results = list(csv.DictReader(fh))
+        assert len(results) == len(errors) == 3
+        for r in results:
+            cell = errors[(r["window"], r["method"], float(r["proportion"]))]
+            total = 0.0
+            for e in cell:
+                total += e
+            assert total / len(cell) == float(r["mae"])
 
     @staticmethod
     def patch_fit_gp(monkeypatch, fit):
@@ -367,6 +417,19 @@ class TestCLI:
             ({"mice": {"seed": -1}}, "seed"),
             ({"sem": {"fit": {"n_starts": 0}}}, "n_starts"),
             ({"sem": {"fit": 3}}, "fit"),
+            ({"proportions": [0.2, 0.2]}, "proportions"),
+            ({"synthetic": {"readout_nonlinearity": "relu"}}, "readout_nonlinearity"),
+            ({"synthetic": {"output_name": "pco2"}}, "output_name"),
+            ({"synthetic": {"covariate_names": ["a", "b"]}}, "covariate_names"),
+            ({"synthetic": {"covariate_names": ["a", "a", "b"]}}, "covariate_names"),
+            ({"synthetic": {"latent_lengthscale_range": [-0.3, -0.1]}},
+             "latent_lengthscale_range"),
+            ({"synthetic": {"latent_lengthscale_range": [0.3, 0.1]}},
+             "latent_lengthscale_range"),
+            ({"synthetic": {"readout_weights": [1, 2]}}, "readout_weights"),
+            ({"synthetic": {"readout_weights": [1, 2, float("inf")]}}, "readout_weights"),
+            ({"synthetic": {"output_noise_sd": -1}}, "output_noise_sd"),
+            ({"synthetic": {"covariate_noise_sd": float("nan")}}, "covariate_noise_sd"),
         ],
         ids=["fit-family", "sem-sweep-order", "top-level-typo", "bad-mode", "sem-burn-in",
              "sem-zero-imputations", "fit-nugget-bounds", "proportion-above-one",
@@ -376,7 +439,12 @@ class TestCLI:
              "fractional-fit-starts", "fractional-synthetic-length", "fractional-sem-sweeps",
              "fractional-mice-cycles", "string-whole-row-masking", "negative-seed",
              "negative-fit-seed", "negative-mice-seed", "sem-fit-zero-starts",
-             "sem-fit-not-an-object"],
+             "sem-fit-not-an-object", "duplicate-proportions", "synthetic-nonlinearity",
+             "synthetic-output-is-a-covariate", "synthetic-two-covariates",
+             "synthetic-repeated-covariate", "synthetic-negative-lengthscales",
+             "synthetic-lengthscales-reversed", "synthetic-two-weights",
+             "synthetic-infinite-weight", "synthetic-negative-output-noise",
+             "synthetic-nan-covariate-noise"],
     )
     def test_run_rejects_bad_config_before_any_cell(self, tmp_path, bad, key):
         cfg = {
@@ -394,6 +462,20 @@ class TestCLI:
         assert exc.value.code != 0
         assert key in str(exc.value.code)
         assert not out.exists()
+
+    def test_run_records_windows_too_short_to_standardise(self, tmp_path, capsys):
+        # one of two rows masked leaves a column with one value: every method fails
+        cfg = {"proportions": [0.4], "n_windows": 1,
+               "synthetic": {"min_length": 2, "max_length": 2}}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "results"
+        self.run_cli("run", "--config", str(cfg_path), "--out", str(out))
+        assert "4 job(s) failed" in capsys.readouterr().err
+        payload = json.loads((out / "report.json").read_text())
+        assert [(f["method"], f["type"]) for f in payload["failures"]] == [
+            (m, "DegenerateColumnError") for m in ("locf", "mice", "gp", "dgpsi")]
+        assert all(r["windows"] == [] for r in payload["results"])
 
     def test_generate_rejects_negative_seed(self, tmp_path):
         out = tmp_path / "windows"
