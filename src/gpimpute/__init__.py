@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .baselines import (
     ImputationMethodResult,
-    MethodTag,
     MICEConfig,
     independent_gp_impute,
     locf_impute,
@@ -24,7 +23,6 @@ from .data import (
     discretise_hourly,
     generate_synthetic_window,
     ingest_csv,
-    interval_mask_plan,
     make_mask_plan,
     standardise,
 )

@@ -4,8 +4,7 @@ chained equations (MICE-lite), and independent per-variable GP interpolation.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,19 +12,10 @@ from .data import EmptyColumnError, ObservationTable, require_ints
 from .gp import FitConfig, fit_gp, predict_batch
 
 
-class MethodTag(enum.Enum):
-    LOCF = "locf"
-    MICE = "mice"
-    GP = "gp"
-    DGPSI = "dgpsi"
-
-
 @dataclass
 class ImputationMethodResult:
     filled: ObservationTable  # mask-complete on the imputed columns
     variance: np.ndarray | None  # (N, D) per-cell variance, NaN where unavailable
-    method_tag: MethodTag
-    metadata: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -42,41 +32,40 @@ class MICEConfig:
                 raise ValueError(f"{name} must be >= {low}")
 
 
-def locf_impute(table: ObservationTable, variable: str) -> ImputationMethodResult:
-    """Carry the most recent observation forward; leading gaps back-fill from the
-    first observation so the output is complete."""
-    vals, mask = table.column(variable)
-    if not mask.any():
-        raise EmptyColumnError(f"column {variable!r} has no observed values")
+def locf_impute(table: ObservationTable, columns) -> ImputationMethodResult:
+    """Fill each of ``columns`` by carrying its most recent observation forward;
+    leading gaps back-fill from the first observation so the output is complete."""
     filled = table.copy()
-    j = table.col_index(variable)
-    last = None
-    for i in range(table.n):
-        if mask[i]:
-            last = vals[i]
-        elif last is not None:
-            filled.values[i, j] = last
-    first = vals[np.argmax(mask)]
-    for i in range(table.n):
-        if mask[i]:
-            break
-        filled.values[i, j] = first
-    filled.mask[:, j] = True
-    return ImputationMethodResult(filled=filled, variance=None, method_tag=MethodTag.LOCF)
+    for c in columns:
+        vals, mask = table.column(c)
+        if not mask.any():
+            raise EmptyColumnError(f"column {c!r} has no observed values")
+        j = table.col_index(c)
+        last = None
+        for i in range(table.n):
+            if mask[i]:
+                last = vals[i]
+            elif last is not None:
+                filled.values[i, j] = last
+        first = vals[np.argmax(mask)]
+        for i in range(table.n):
+            if mask[i]:
+                break
+            filled.values[i, j] = first
+        filled.mask[:, j] = True
+    return ImputationMethodResult(filled=filled, variance=None)
 
 
 def _bayes_linear_draw(Z, t, Zq, ridge, rng):
     """Draw imputations for rows Zq from a Bayesian linear model t ~ Z.
 
     Falls back to ridge regularisation when the normal equations are
-    ill-conditioned; returns (draws, used_ridge).
+    ill-conditioned.
     """
     k = Z.shape[1]
     G = Z.T @ Z
-    used_ridge = False
     lam = 0.0
     if np.linalg.cond(G) > 1e10:
-        used_ridge = True
         lam = ridge * max(np.trace(G) / k, 1.0)
     A = G + lam * np.eye(k)
     beta_hat = np.linalg.solve(A, Z.T @ t)
@@ -91,7 +80,7 @@ def _bayes_linear_draw(Z, t, Zq, ridge, rng):
         L = np.zeros((k, k))
     beta = beta_hat + L @ rng.standard_normal(k)
     mean = Zq @ beta
-    return mean + np.sqrt(s2) * rng.standard_normal(Zq.shape[0]), used_ridge
+    return mean + np.sqrt(s2) * rng.standard_normal(Zq.shape[0])
 
 
 def mice_impute(table: ObservationTable, config: MICEConfig = MICEConfig(),
@@ -115,13 +104,9 @@ def mice_impute(table: ObservationTable, config: MICEConfig = MICEConfig(),
     missing_any = ~sub_mask
     filled = table.copy()
     if not missing_any.any():
-        return ImputationMethodResult(
-            filled=filled, variance=None, method_tag=MethodTag.MICE,
-            metadata={"m": config.n_imputations, "cycles": 0, "ridge_used": False},
-        )
+        return ImputationMethodResult(filled=filled, variance=None)
 
     rng = np.random.default_rng(config.seed)
-    ridge_used = False
     stacks = []
     for _ in range(config.n_imputations):
         work = table.values[:, idxs].copy()
@@ -137,11 +122,9 @@ def mice_impute(table: ObservationTable, config: MICEConfig = MICEConfig(),
                 Z_full = np.column_stack(
                     [np.ones(table.n), table.times] + [work[:, k] for k in others]
                 )
-                draws, used = _bayes_linear_draw(
+                work[miss, c] = _bayes_linear_draw(
                     Z_full[~miss], work[~miss, c], Z_full[miss], config.ridge, rng
                 )
-                ridge_used = ridge_used or used
-                work[miss, c] = draws
         stacks.append(work)
     stacked = np.stack(stacks)  # (m, N, len(idxs))
     point = stacked.mean(axis=0)
@@ -153,32 +136,24 @@ def mice_impute(table: ObservationTable, config: MICEConfig = MICEConfig(),
         filled.values[miss, j] = point[miss, c]
         variance[miss, j] = across_var[miss, c]
         filled.mask[:, j] = True
-    return ImputationMethodResult(
-        filled=filled, variance=variance, method_tag=MethodTag.MICE,
-        metadata={"m": config.n_imputations, "cycles": config.cycles, "ridge_used": ridge_used},
-    )
+    return ImputationMethodResult(filled=filled, variance=variance)
 
 
-def independent_gp_impute(table: ObservationTable, variable: str,
-                          config: FitConfig = FitConfig()) -> ImputationMethodResult:
-    """Single-GP smoothing of one column: fit on (time, observed values), predict
-    the posterior mean and variance at the missing times."""
-    vals, mask = table.column(variable)
-    if mask.sum() < 2:
-        raise EmptyColumnError(f"column {variable!r} has fewer than 2 observed values")
-    j = table.col_index(variable)
-    X = table.times[mask, None]
-    model = fit_gp(X, vals[mask], config)
+def independent_gp_impute(table: ObservationTable, columns, config: FitConfig = FitConfig(),
+                          fit=fit_gp) -> ImputationMethodResult:
+    """Single-GP smoothing of each of ``columns``: fit ``fit(X, y, config)`` on
+    its (time, observed value) pairs, then predict the posterior mean and
+    variance at its missing times."""
     filled = table.copy()
     variance = np.full_like(table.values, np.nan)
-    miss = ~mask
-    if miss.any():
-        mean, var = predict_batch(model, table.times[miss, None])
-        filled.values[miss, j] = mean
-        variance[miss, j] = var
-    filled.mask[:, j] = True
-    return ImputationMethodResult(
-        filled=filled, variance=variance, method_tag=MethodTag.GP,
-        metadata={"lengthscales": model.hyper.kernel.lengthscales.tolist(),
-                  "scale": model.hyper.scale, "nugget": model.hyper.nugget},
-    )
+    for c in columns:
+        vals, mask = table.column(c)
+        if mask.sum() < 2:
+            raise EmptyColumnError(f"column {c!r} has fewer than 2 observed values")
+        j, miss = table.col_index(c), ~mask
+        model = fit(table.times[mask, None], vals[mask], config)
+        if miss.any():
+            filled.values[miss, j], variance[miss, j] = predict_batch(
+                model, table.times[miss, None])
+        filled.mask[:, j] = True
+    return ImputationMethodResult(filled=filled, variance=variance)

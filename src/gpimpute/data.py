@@ -280,25 +280,6 @@ def make_mask_plan(
     )
 
 
-def interval_mask_plan(table: ObservationTable, target_columns, intervals) -> MaskPlan:
-    """Mask every observed cell of the target columns whose time falls in any of
-    the given (t_lo, t_hi) intervals (scaled-time units). Used by the
-    uncertainty-coupling experiment.
-    """
-    cells: list[tuple[int, int]] = []
-    for c in target_columns:
-        j = table.col_index(c)
-        for i in range(table.n):
-            if table.mask[i, j] and any(lo <= table.times[i] <= hi for lo, hi in intervals):
-                cells.append((i, j))
-    return MaskPlan(
-        proportion=float("nan"),
-        target_columns=tuple(target_columns),
-        seed=-1,
-        masked_cells=tuple(cells),
-    )
-
-
 def apply_mask(table: ObservationTable, plan: MaskPlan) -> ObservationTable:
     """Flag the plan's cells as missing. Ground truth stays with the caller's
     original table; evaluation reads it from there.

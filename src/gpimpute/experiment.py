@@ -25,14 +25,13 @@ import numpy as np
 from . import __version__
 from .baselines import (
     ImputationMethodResult,
-    MethodTag,
     MICEConfig,
+    independent_gp_impute,
     locf_impute,
     mice_impute,
 )
 from .data import (
     DegenerateColumnError,
-    EmptyColumnError,
     ObservationTable,
     StandardisationRecord,
     SyntheticConfig,
@@ -43,21 +42,26 @@ from .data import (
     standardise,
 )
 from .dgp import FIT_ERRORS, SEMConfig, impute_covariates, predict_ensemble, train_sem
-from .gp import FitConfig, FittedGP, fit_gp, predict_batch
+from .gp import FitConfig, FittedGP, fit_gp
 from .linked import LayerArchitecture
 
 MODE_PREDICT_OUTPUT = "predict-output"
 MODE_IMPUTE_COVARIATES = "impute-covariates"
+METHODS = ("locf", "mice", "gp", "dgpsi")
 
 
 class IncompleteResultError(ValueError):
     pass
 
 
+class EmptyMaskError(ValueError):
+    """A (window, proportion) whose mask plan hides no cell: nothing to score."""
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     mode: str = MODE_PREDICT_OUTPUT
-    methods: tuple[str, ...] = ("locf", "mice", "gp", "dgpsi")
+    methods: tuple[str, ...] = METHODS
     proportions: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4)
     n_windows: int = 14
     seed: int = 0
@@ -82,7 +86,7 @@ class ExperimentConfig:
                              f"got {self.whole_row_masking!r}")
         if self.mode not in (MODE_PREDICT_OUTPUT, MODE_IMPUTE_COVARIATES):
             raise ValueError(f"unknown mode: {self.mode!r}")
-        bad = [m for m in self.methods if m not in {t.value for t in MethodTag}]
+        bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ValueError(f"unknown methods: {bad}")
         if not self.methods or len(set(self.methods)) != len(self.methods):
@@ -159,7 +163,7 @@ def evaluate_mae(rows: list[CellPrediction], sds: dict[str, float] | None = None
     total = 0.0
     for p in rows:
         total += abs(p.truth - p.mean) * (sds[p.variable] if sds else 1.0)
-    return total / len(rows) if rows else 0.0
+    return total / len(rows)
 
 
 def _cell_predictions(
@@ -215,31 +219,24 @@ def _run_method(
     goes through the window's table ``fits`` (see :func:`_fit`), so the gp method
     and dgpsi's first layer fit a problem they share once."""
     if method == "locf":
-        for c in targets:
-            table = locf_impute(table, c).filled
-        return ImputationMethodResult(filled=table, variance=None, method_tag=MethodTag.LOCF)
+        return locf_impute(table, targets)
     if method == "mice":
         # predict-output's constraint: time and the output only
         columns = [c for c in table.names if c in targets or c == table.output_name]
         return mice_impute(table, dataclasses.replace(config.mice, seed=seed), columns=columns)
-    if method == "dgpsi":
-        em = train_sem(table, default_architecture(table), config.sem, seed,
-                       fit=functools.partial(_fit, fits))
-    elif method != "gp":
+    if method == "gp":
+        return independent_gp_impute(table, targets, config.fit,
+                                     fit=functools.partial(_fit, fits))
+    if method != "dgpsi":
         raise ValueError(f"unknown method: {method!r}")
+    em = train_sem(table, default_architecture(table), config.sem, seed,
+                   fit=functools.partial(_fit, fits))
     filled = table.copy()
     variance = np.full_like(table.values, np.nan)
     for c in targets:
-        vals, mask = table.column(c)
-        j, miss = table.col_index(c), np.where(~mask)[0]
-        if method == "gp":
-            if mask.sum() < 2:
-                raise EmptyColumnError(f"column {c!r} has fewer than 2 observed values")
-            model = _fit(fits, table.times[mask, None], vals[mask], config.fit)
-            if miss.size:
-                filled.values[miss, j], variance[miss, j] = predict_batch(
-                    model, table.times[miss, None])
-        elif miss.size:
+        j = table.col_index(c)
+        miss = np.where(~table.mask[:, j])[0]
+        if miss.size:
             if c == table.output_name:
                 preds = [predict_ensemble(em, [t]) for t in table.times[miss]]
             else:
@@ -247,7 +244,7 @@ def _run_method(
             filled.values[miss, j] = [p.mixture.mean for p in preds]
             variance[miss, j] = [p.mixture.variance for p in preds]
         filled.mask[:, j] = True
-    return ImputationMethodResult(filled=filled, variance=variance, method_tag=MethodTag(method))
+    return ImputationMethodResult(filled=filled, variance=variance)
 
 
 def _mean_se(maes: list[float]) -> tuple[float, float]:
@@ -266,8 +263,9 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
     """Mask -> fit -> impute -> evaluate per window/method/proportion.
 
     A method's ``FIT_ERRORS`` are recorded with their type per (window, method,
-    proportion) and the run continues; so is a masked table too short to
-    standardise, once for each method. Any other exception propagates.
+    proportion) and the run continues; so is a mask plan that hides no cell
+    (``EmptyMaskError``) and a masked table too short to standardise, once for
+    each method. Any other exception propagates.
     Deterministic: all RNG streams derive from ``config.seed``.
     """
     methods = list(config.methods)
@@ -292,8 +290,10 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
                 targets = truth.covariate_names
             plan = make_mask_plan(truth, prop, targets, mask_seed, config.whole_row_masking)
             try:
+                if not plan.masked_cells:
+                    raise EmptyMaskError(f"proportion {prop} masks no cell of window {w}")
                 std_masked, record = standardise(apply_mask(truth, plan))
-            except DegenerateColumnError as exc:  # no method can run on this table
+            except (EmptyMaskError, DegenerateColumnError) as exc:  # no method can run or score
                 failures.extend(_failure(w, method, prop, exc) for method in methods)
                 continue
             for method in methods:

@@ -68,7 +68,9 @@ class KernelSpec:
 
 
 def kernel_value(spec: KernelSpec, a, b) -> float:
-    """Product over dimensions of exp(-((a_d - b_d) / l_d)^2)."""
+    """Product over dimensions of exp(-((a_d - b_d) / l_d)^2).
+
+    Kept as the scalar reference the tests check ``build_correlation`` against."""
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.shape != (spec.ndim,) or b.shape != (spec.ndim,):

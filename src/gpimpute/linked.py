@@ -54,6 +54,10 @@ class LayerArchitecture:
 
 @dataclass(frozen=True)
 class LinkedEmulator:
+    """One set of first-layer GPs linked to one second-layer GP. Kept, with
+    :func:`link_predict`, as the per-draw reference the tests check
+    ``predict_ensemble`` against."""
+
     first_layer: list[FittedGP]  # one per latent node, shared training inputs
     second_layer: FittedGP  # latents -> output, trained on the (N, P) latent values
 
@@ -99,7 +103,10 @@ def _propagated_gaussian(model: FittedGP, m: np.ndarray, v: np.ndarray,
 
 
 def link_predict(em: LinkedEmulator, x0) -> PredictiveGaussian:
-    """Propagated predictive distribution of the output at global input x0."""
+    """Propagated predictive distribution of the output at global input x0.
+
+    Kept as the per-draw reference the tests check ``predict_ensemble`` against;
+    the benchmark tracer also looks it up by name."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     means, variances = _latent_predictions(em.first_layer, x0[None, :])
     return _propagated_gaussian(em.second_layer, means[0], variances[0])

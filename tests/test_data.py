@@ -15,7 +15,6 @@ from gpimpute.data import (
     discretise_hourly,
     generate_synthetic_window,
     ingest_csv,
-    interval_mask_plan,
     make_mask_plan,
     scale_times,
     standardise,
@@ -168,13 +167,6 @@ class TestMasking:
         rows = {i for i, _ in plan.masked_cells}
         assert len(rows) == 4
         assert len(plan.masked_cells) == 8  # both columns per masked row
-
-    def test_interval_plan(self):
-        rng = np.random.default_rng(3)
-        table = small_table(rng.normal(size=(11, 2)), np.ones((11, 2)))
-        plan = interval_mask_plan(table, ["pco2"], [(0.2, 0.4)])
-        expected = [(i, 1) for i in range(11) if 0.2 <= table.times[i] <= 0.4]
-        assert list(plan.masked_cells) == expected
 
     def test_apply_mask_rejects_unobserved(self):
         rng = np.random.default_rng(4)

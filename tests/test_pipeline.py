@@ -8,13 +8,22 @@ import pytest
 import gpimpute.baselines
 import gpimpute.dgp
 import gpimpute.experiment
-from gpimpute.baselines import ImputationMethodResult, MethodTag, MICEConfig
-from gpimpute.data import ObservationTable, StandardisationRecord, SyntheticConfig
+from gpimpute.baselines import ImputationMethodResult, MICEConfig, independent_gp_impute
+from gpimpute.data import (
+    ObservationTable,
+    StandardisationRecord,
+    SyntheticConfig,
+    apply_mask,
+    generate_synthetic_window,
+    make_mask_plan,
+    standardise,
+)
 from gpimpute.dgp import SEMConfig, SEMError
 from gpimpute.experiment import (
     ExperimentConfig,
     IncompleteResultError,
     _cell_predictions,
+    _run_method,
     aggregate_results_csv,
     default_architecture,
     evaluate_mae,
@@ -51,7 +60,7 @@ class TestEvaluateMAE:
 
     def rows(self, filled):
         truth = table_of([[1.0, 0.0], [2.0, 0.0]], np.ones((2, 2)))
-        result = ImputationMethodResult(filled=filled, variance=None, method_tag=MethodTag.LOCF)
+        result = ImputationMethodResult(filled=filled, variance=None)
         return _cell_predictions(0, "locf", 0.2, result, truth, self.RECORD, [(0, 0), (1, 0)])
 
     def test_hand_case(self):
@@ -62,9 +71,12 @@ class TestEvaluateMAE:
         # each error rescaled by its variable's sd: y's is 2
         assert evaluate_mae(rows, self.RECORD.sds) == pytest.approx(0.4)
 
-    def test_empty_cells_zero(self):
-        assert evaluate_mae([]) == 0.0
-        assert evaluate_mae([], self.RECORD.sds) == 0.0
+    def test_no_rows_raise(self):
+        # no rows is no score, not a perfect one
+        with pytest.raises(ZeroDivisionError):
+            evaluate_mae([])
+        with pytest.raises(ZeroDivisionError):
+            evaluate_mae([], self.RECORD.sds)
 
     def test_missing_prediction_raises(self):
         holed = table_of([[0.1, 0.0], [0.8, 0.0]], np.ones((2, 2)))
@@ -316,6 +328,19 @@ class TestRunExperiment:
             ]
             assert len(calls) == config.n_windows * len(config.proportions)
 
+    def test_gp_method_is_independent_gp_impute(self):
+        config = ExperimentConfig(mode="impute-covariates", seed=3, **FAST_CONFIG)
+        truth = generate_synthetic_window(config.synthetic, np.random.default_rng(0)).table
+        targets = truth.covariate_names
+        plan = make_mask_plan(truth, 0.3, targets, seed=1)
+        table, _ = standardise(apply_mask(truth, plan))
+        got = _run_method("gp", table, targets, config, seed=0, fits={})
+        want = independent_gp_impute(table, targets, config.fit)
+        assert np.array_equal(got.filled.values, want.filled.values, equal_nan=True)
+        assert np.array_equal(got.filled.mask, want.filled.mask)
+        assert np.array_equal(got.variance, want.variance, equal_nan=True)
+        assert got.filled.mask[:, [table.col_index(c) for c in targets]].all()
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown methods"):
             ExperimentConfig(methods=("locf", "zzz"))
@@ -476,6 +501,23 @@ class TestCLI:
         assert [(f["method"], f["type"]) for f in payload["failures"]] == [
             (m, "DegenerateColumnError") for m in ("locf", "mice", "gp", "dgpsi")]
         assert all(r["windows"] == [] for r in payload["results"])
+
+    def test_run_records_windows_that_mask_no_cell(self, tmp_path, capsys):
+        # round(0.2 * 2) = 0 cells masked: nothing to score, so every method fails
+        cfg = {"mode": "impute-covariates", "proportions": [0.2], "n_windows": 2, "seed": 1,
+               "synthetic": {"min_length": 2, "max_length": 2}}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "results"
+        self.run_cli("run", "--config", str(cfg_path), "--out", str(out))
+        captured = capsys.readouterr()
+        assert "8 job(s) failed" in captured.err
+        assert "MAE 0.0000" not in captured.out
+        payload = json.loads((out / "report.json").read_text())
+        assert [(f["window"], f["method"], f["type"]) for f in payload["failures"]] == [
+            (w, m, "EmptyMaskError") for w in (0, 1) for m in ("locf", "mice", "gp", "dgpsi")]
+        assert all(r["windows"] == [] for r in payload["results"])
+        assert (out / "results.csv").read_text() == "window,method,proportion,mae\n"
 
     def test_generate_rejects_negative_seed(self, tmp_path):
         out = tmp_path / "windows"
