@@ -8,8 +8,10 @@ Subcommands:
   inspect     pretty-print a saved emulator manifest
 
 The run config is a JSON object; every key is optional and CLI flags override
-it. An unknown key or a bad value stops ``run`` before any cell runs. Schema
-(defaults in parentheses):
+it. An unknown key or a bad value stops ``run`` before any cell runs. A
+``report.json`` that ``run`` wrote, or its ``"manifest"`` alone, is also a
+config: ``run --config report.json`` replays that run. The manifest's
+``"version"`` must be this package's version. Schema (defaults in parentheses):
 
   {
     "mode": "predict-output" | "impute-covariates",
@@ -49,6 +51,7 @@ import sys
 
 import numpy as np
 
+from . import __version__
 from .data import (
     ROLE_COVARIATE,
     ROLE_OUTPUT,
@@ -117,6 +120,14 @@ def _build_experiment_config(args) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
+    if isinstance(raw, dict) and "manifest" in raw:  # a report.json: replay its run
+        raw = raw["manifest"]
+    if isinstance(raw, dict) and "version" in raw:  # a manifest names the version it ran
+        raw = dict(raw)
+        version = raw.pop("version")
+        if version != __version__:
+            raise ValueError(f"the manifest is from gpimpute {version}, "
+                             f"this is gpimpute {__version__}")
     kwargs = _config_kwargs(ExperimentConfig, raw, "config")
     # flag overrides
     if args.seed is not None:

@@ -81,15 +81,27 @@ class EnsemblePrediction:
     components: list[PredictiveGaussian]
 
 
+def _mix_rows(means, variances) -> list[PredictiveGaussian]:
+    """The mixture of each row's S equally weighted Gaussians: means (M, S), and
+    variances (M, S) or one (M,) variance per row. A negative (round-off)
+    variance is clamped to 0."""
+    # a C-ordered row is reduced as one pairwise sum, as a 1-D array of S is
+    means = np.ascontiguousarray(means, dtype=float)
+    variances = np.asarray(variances, dtype=float)
+    if variances.ndim == 1:
+        variances = variances[:, None]
+    mus = np.mean(means, axis=1).tolist()
+    second = np.mean(means**2 + variances, axis=1).tolist()
+    # mu**2 is Python's float power, as it has always been: numpy's square (x * x)
+    # differs from it in the last bit for about 1 value in 1,200
+    return [PredictiveGaussian(mean=mu, variance=max(m2 - mu**2, 0.0))
+            for mu, m2 in zip(mus, second)]
+
+
 def mix_components(components: list[PredictiveGaussian]) -> EnsemblePrediction:
-    means = np.array([c.mean for c in components])
-    variances = np.array([c.variance for c in components])
-    mu = float(np.mean(means))
-    var = float(np.mean(means**2 + variances) - mu**2)
-    return EnsemblePrediction(
-        mixture=PredictiveGaussian(mean=mu, variance=max(var, 0.0)),
-        components=components,
-    )
+    means = [[c.mean for c in components]]
+    variances = [[c.variance for c in components]]
+    return EnsemblePrediction(mixture=_mix_rows(means, variances)[0], components=components)
 
 
 def ess_update(prior_mean, prior_chol, current, loglik, rng,
@@ -442,30 +454,64 @@ def impute_covariates(em: DGPSIEmulator, query_times, target: str) -> list[Ensem
     qt = np.asarray(query_times, dtype=float).reshape(-1, 1)
     means, variances = predict_batch(em.first_layer[idx], qt)  # (M, S), (M,)
     return [
-        mix_components([PredictiveGaussian(mean=float(m), variance=float(var)) for m in row])
-        for row, var in zip(means, variances)
+        EnsemblePrediction(mixture=mixture,
+                           components=[PredictiveGaussian(mean=m, variance=var) for m in row])
+        for mixture, row, var in zip(_mix_rows(means, variances), means.tolist(),
+                                     variances.tolist())
     ]
 
 
+def _fixed_cells_agree(draws: np.ndarray, fixed: np.ndarray) -> bool:
+    """Whether each fixed cell of the (S, N, P) draws holds the same float64 bits
+    in every draw; ``==`` would let 0.0 and -0.0 pass as equal."""
+    bits = draws[:, fixed].view(np.int64)
+    return bool((bits == bits[:1]).all())
+
+
+def _write_savetxt_csv(path: str, values: np.ndarray):
+    """Write the bytes ``np.savetxt(path, values, delimiter=",")`` writes: one
+    "%.18e" field per column, one row per line (a 1-D array as one column)."""
+    rows = np.asarray(values, dtype=float)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    line = ",".join(["%.18e"] * rows.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write((line * rows.shape[0]) % tuple(rows.ravel().tolist()))
+
+
 def save_emulator(em: DGPSIEmulator, directory: str):
-    """Persist an emulator as a manifest JSON plus flat CSV payloads."""
+    """Persist an emulator as a manifest JSON plus flat CSV payloads. An emulator
+    whose fixed (observed) latent cells differ between draws is refused, as
+    :func:`load_emulator` would refuse its file."""
+    if not _fixed_cells_agree(em.draws, em.latent_mask):
+        raise ValueError("each fixed (observed) latent cell must hold the same value, "
+                         "bit for bit, in every draw")
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
         json.dump(em.manifest(), fh, indent=2, sort_keys=True)
-    np.savetxt(os.path.join(directory, "training_inputs.csv"), em.train_X, delimiter=",")
-    np.savetxt(os.path.join(directory, "training_outputs.csv"), em.train_y, delimiter=",")
+    _write_savetxt_csv(os.path.join(directory, "training_inputs.csv"), em.train_X)
+    _write_savetxt_csv(os.path.join(directory, "training_outputs.csv"), em.train_y)
     # one line "draw,row,col,value,fixed" per cell; 17 significant digits
     # round-trip every float64 bitwise. The part of a line after the draw is one
-    # template per (row, col) cell, shared by every draw.
+    # template per (row, col) cell; a fixed cell's value is the same in every
+    # draw, so its text is formatted once, from draw 0.
     row, col = np.indices(em.latent_mask.shape).reshape(2, -1)
+    fixed = em.latent_mask.ravel()
     cells = [f"{r},{c},%.17g,{int(f)}\n" for r, c, f in
-             zip(row.tolist(), col.tolist(), em.latent_mask.ravel().tolist())]
-    lines = ["draw,row,col,value,fixed\n"]
-    for s, values in enumerate(em.draws.reshape(len(em.draws), -1).tolist()):
-        draw = f"{s},"
-        lines += [draw + cell % value for cell, value in zip(cells, values)]
+             zip(row.tolist(), col.tolist(), fixed.tolist())]
+    values = em.draws.reshape(len(em.draws), -1)
+    tails = [cell % value if f else None
+             for cell, value, f in zip(cells, values[0].tolist(), fixed.tolist())]
+    free = np.flatnonzero(~fixed).tolist()
+    free_cells = [cells[i] for i in free]
+    parts = ["draw,row,col,value,fixed\n"]
+    for s, draw in enumerate(values[:, free].tolist()):
+        for i, cell, value in zip(free, free_cells, draw):
+            tails[i] = cell % value
+        prefix = f"{s},"
+        parts.append(prefix + prefix.join(tails))
     with open(os.path.join(directory, "imputations.csv"), "w") as fh:
-        fh.write("".join(lines))
+        fh.write("".join(parts))
 
 
 def _saved_kernel(entry: dict) -> KernelSpec:
@@ -476,6 +522,14 @@ def _saved_kernel(entry: dict) -> KernelSpec:
         raise ValueError(f"saved kernel family {family!r} is not supported; "
                          "only the squared exponential kernel is")
     return KernelSpec(np.array(entry["lengthscales"]))
+
+
+def _load_finite(path: str, **kwargs) -> np.ndarray:
+    """``np.loadtxt`` of a comma-separated file that must hold finite values only."""
+    values = np.loadtxt(path, delimiter=",", **kwargs)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: holds a non-finite value")
+    return values
 
 
 def load_emulator(directory: str) -> DGPSIEmulator:
@@ -491,15 +545,15 @@ def load_emulator(directory: str) -> DGPSIEmulator:
     ]
     e2 = manifest["second_layer"]
     second_hyper = GPHyperparams(kernel=_saved_kernel(e2), scale=e2["scale"], nugget=e2["nugget"])
-    X = np.loadtxt(os.path.join(directory, "training_inputs.csv"), delimiter=",", ndmin=2)
+    X = _load_finite(os.path.join(directory, "training_inputs.csv"), ndmin=2)
     y_path = os.path.join(directory, "training_outputs.csv")
-    y = np.loadtxt(y_path, delimiter=",").ravel()
+    y = _load_finite(y_path).ravel()
     n = X.shape[0]
     if y.shape[0] != n:
         raise ValueError(f"{y_path}: {y.shape[0]} outputs for {n} training inputs")
     p = len(first_hyper)
     path = os.path.join(directory, "imputations.csv")
-    cells = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)  # draw,row,col,value,fixed
+    cells = _load_finite(path, skiprows=1, ndmin=2)  # draw,row,col,value,fixed
     cells = cells[np.lexsort(cells[:, 2::-1].T)]  # by draw, then row, then col
     draw_ids = np.unique(cells[:, 0])
     draw, row, col = np.indices((draw_ids.size, n, p)).reshape(3, -1)
@@ -512,9 +566,9 @@ def load_emulator(directory: str) -> DGPSIEmulator:
         raise ValueError(f"{path}: the fixed flag of each (row, col) cell must be the "
                          "same in every draw")
     draws = cells[:, 3].reshape(-1, n, p)
-    if not (draws[:, fixed[0]] == draws[0, fixed[0]]).all():
+    if not _fixed_cells_agree(draws, fixed[0]):
         raise ValueError(f"{path}: the value of each fixed (observed) cell must be the "
-                         "same in every draw")
+                         "same, bit for bit, in every draw")
     return DGPSIEmulator(
         architecture=arch, first_hyper=first_hyper, second_hyper=second_hyper,
         draws=draws, latent_mask=fixed[0],

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -46,6 +47,9 @@ def se_spec(*lengthscales):
 def small_arch():
     return LayerArchitecture(("pco2", "sid", "lactate"), "ph")
 
+
+# negative zero, the smallest subnormal, near-overflow and inexact decimals
+EDGE_VALUES = np.array([-0.0, 5e-324, 1e308, 0.1, -1.5e-7])
 
 FAST_SEM = SEMConfig(
     iterations=6, burn_in=3, ess_sweeps=2, n_imputations=5,
@@ -381,8 +385,14 @@ class TestTrainSEM:
         em = train_sem(table, small_arch(), FAST_SEM, 2)
         pred = predict_ensemble(em, [0.3])
         redo = mix_components(pred.components)
-        assert pred.mixture.mean == pytest.approx(redo.mixture.mean, abs=1e-14)
-        assert pred.mixture.variance == pytest.approx(redo.mixture.variance, abs=1e-14)
+        assert pred.mixture == redo.mixture
+
+    def test_covariate_mixtures_are_the_mix_of_their_components(self):
+        em = train_sem(masked_window(seed=9), small_arch(), FAST_SEM, 2)
+        preds = impute_covariates(em, np.linspace(0.05, 0.95, 7), "lactate")
+        assert all(len(p.components) == FAST_SEM.n_imputations for p in preds)
+        assert [p.mixture for p in preds] == [mix_components(p.components).mixture
+                                             for p in preds]
 
     def test_impute_covariates(self):
         table = masked_window(seed=10)
@@ -520,6 +530,75 @@ class TestPersistence:
         back = load_emulator(str(tmp_path / "em"))
         assert back.draws.tobytes() == em.draws.tobytes()
         assert np.array_equal(back.latent_mask, em.latent_mask)
+
+    @pytest.mark.parametrize("case", ["fully-observed", "one-draw"])
+    def test_imputations_format_pinned_when_all_fixed_or_one_draw(self, tmp_path, case):
+        if case == "fully-observed":  # every cell fixed, so no cell is formatted per draw
+            em = train_sem(make_window(seed=12), small_arch(), FAST_SEM, 5)
+            assert em.latent_mask.all()
+        else:
+            em = train_sem(masked_window(seed=11), small_arch(),
+                           replace(FAST_SEM, n_imputations=1), 4)
+        k = np.arange(em.draws.size).reshape(em.draws.shape)
+        k[:, em.latent_mask] = k[0, em.latent_mask]
+        em.draws = EDGE_VALUES[k % EDGE_VALUES.size]
+        save_emulator(em, str(tmp_path / "em"))
+        fixed = np.broadcast_to(em.latent_mask, em.draws.shape)
+        draw, row, col = np.indices(em.draws.shape).reshape(3, -1)
+        np.savetxt(tmp_path / "reference.csv",
+                   np.column_stack([draw, row, col, em.draws.ravel(), fixed.ravel()]),
+                   fmt=["%d", "%d", "%d", "%.17g", "%d"], delimiter=",",
+                   header="draw,row,col,value,fixed", comments="")
+        saved = (tmp_path / "em" / "imputations.csv").read_bytes()
+        assert saved == (tmp_path / "reference.csv").read_bytes()
+        assert load_emulator(str(tmp_path / "em")).draws.tobytes() == em.draws.tobytes()
+
+    def test_training_csvs_are_savetxt_bytes(self, tmp_path):
+        em = train_sem(masked_window(seed=11), small_arch(), FAST_SEM, 4)
+        em.train_X = np.column_stack([EDGE_VALUES, EDGE_VALUES[::-1]])  # two input columns
+        em.train_y = EDGE_VALUES
+        save_emulator(em, str(tmp_path / "em"))
+        for name, values in (("training_inputs.csv", em.train_X),
+                             ("training_outputs.csv", em.train_y)):
+            np.savetxt(tmp_path / name, values, delimiter=",")
+            assert (tmp_path / "em" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_fixed_cell_of_other_sign_refused(self, tmp_path):
+        # 0.0 == -0.0, but a file must hold one text for a fixed cell in every draw
+        em = train_sem(masked_window(seed=11), small_arch(), FAST_SEM, 4)
+        r, c = np.argwhere(em.latent_mask)[0]
+        em.draws[:, r, c] = 0.0
+        save_emulator(em, str(tmp_path / "em"))
+        em.draws[2, r, c] = -0.0
+        with pytest.raises(ValueError, match="fixed"):
+            save_emulator(em, str(tmp_path / "other"))
+        path = tmp_path / "em" / "imputations.csv"
+        text = path.read_text()
+        assert f"\n2,{r},{c},0,1\n" in text
+        path.write_text(text.replace(f"\n2,{r},{c},0,1\n", f"\n2,{r},{c},-0,1\n"))
+        with pytest.raises(ValueError, match="imputations.csv.*fixed"):
+            load_emulator(str(tmp_path / "em"))
+
+    @pytest.mark.parametrize("name, fixed, bad", [
+        ("training_outputs.csv", None, "nan"),
+        ("training_inputs.csv", None, "inf"),
+        ("imputations.csv", 0, "nan"),
+        ("imputations.csv", 1, "nan"),
+    ], ids=["output-nan", "input-inf", "free-cell-nan", "fixed-cell-nan"])
+    def test_non_finite_value_refused_by_file(self, tmp_path, name, fixed, bad):
+        em = train_sem(masked_window(seed=11), small_arch(), FAST_SEM, 4)
+        save_emulator(em, str(tmp_path / "em"))
+        path = tmp_path / "em" / name
+        lines = path.read_text().splitlines(keepends=True)
+        if fixed is None:  # the first value of the last line
+            lines[-1] = re.sub(r"^[^,\n]+", bad, lines[-1])
+        else:  # the value of the first cell with this fixed flag, in every draw
+            cell = next(line.split(",")[1:3] for line in lines if line.endswith(f",{fixed}\n"))
+            lines = [re.sub(r"[^,]+(?=,[01]\n)", bad, line) if line.split(",")[1:3] == cell
+                     else line for line in lines]
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"{name}: holds a non-finite value"):
+            load_emulator(str(tmp_path / "em"))
 
     @staticmethod
     def legacy_save(tmp_path, first_family="squared_exponential",

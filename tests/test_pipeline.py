@@ -551,6 +551,53 @@ class TestCLI:
         assert payload["failures"] == []
         assert payload["manifest"]["sem"]["fit"] == sem_fit
 
+    @pytest.mark.parametrize("mode", ["predict-output", "impute-covariates"])
+    def test_run_replays_its_report(self, tmp_path, mode):
+        cfg = {
+            "mode": mode, "proportions": [0.3], "n_windows": 2, "seed": 4,
+            "synthetic": {"min_length": 15, "max_length": 20},
+            "fit": {"n_starts": 1, "seed": 0},
+            "sem": {"iterations": 3, "burn_in": 1, "ess_sweeps": 1, "n_imputations": 3,
+                    "fit": {"n_starts": 1, "seed": 0}},
+        }
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        self.run_cli("run", "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "a"))
+        report = json.loads((tmp_path / "a" / "report.json").read_text())
+        assert report["failures"] == []
+        (tmp_path / "manifest.json").write_text(json.dumps(report["manifest"]))
+        for source, out in (("a/report.json", "b"), ("manifest.json", "c")):
+            self.run_cli("run", "--config", str(tmp_path / source),
+                         "--out", str(tmp_path / out))
+            for name in ("report.json", "results.csv", "predictions.csv"):
+                assert (tmp_path / out / name).read_bytes() == \
+                    (tmp_path / "a" / name).read_bytes()
+
+    def test_replay_flags_override_the_manifest(self, tmp_path):
+        cfg = {"methods": ["locf"], "proportions": [0.2], "n_windows": 1,
+               "synthetic": {"min_length": 20, "max_length": 20}}
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        self.run_cli("run", "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "a"))
+        self.run_cli("run", "--config", str(tmp_path / "a" / "report.json"), "--seed", "9",
+                     "--out", str(tmp_path / "b"))
+        first, replay = (json.loads((tmp_path / d / "report.json").read_text())["manifest"]
+                         for d in ("a", "b"))
+        assert replay == {**first, "seed": 9}
+
+    def test_replay_refuses_a_manifest_of_another_version(self, tmp_path):
+        from gpimpute import __version__
+
+        manifest = {"version": "0.0.1-other", "methods": ["locf"], "n_windows": 1}
+        (tmp_path / "report.json").write_text(json.dumps({"manifest": manifest}))
+        out = tmp_path / "results"
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("run", "--config", str(tmp_path / "report.json"), "--out", str(out))
+        message = str(exc.value.code)
+        assert "bad config" in message
+        assert "0.0.1-other" in message and __version__ in message
+        assert not out.exists()
+
     def test_inspect_emulator_dir(self, tmp_path, capsys):
         from gpimpute.data import generate_synthetic_window
         from gpimpute.dgp import save_emulator, train_sem
