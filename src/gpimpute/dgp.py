@@ -33,8 +33,10 @@ from .kernels import (
     KernelSpec,
     SingularMatrixError,
     _cholesky_with_jitter,
+    _correlation_values,
     build_correlation,
     chol_solve,
+    scaled_sq_dist,
 )
 from .linked import LayerArchitecture, _latent_predictions, _propagated_gaussian
 
@@ -175,10 +177,6 @@ class LatentState:
         self._rebuild_priors()
 
     @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
     def n_latent(self) -> int:
         return self.latent_mask.shape[1]
 
@@ -196,8 +194,8 @@ class LatentState:
                 self._priors[p] = None
                 continue
             hyper = self.first_hyper[p]
-            corr = build_correlation(hyper.kernel, hyper.nugget, self.X)
-            cov = hyper.scale * (corr.values + corr.jitter_applied * np.eye(self.n))
+            cov = hyper.scale * _correlation_values(scaled_sq_dist(hyper.kernel, self.X, self.X),
+                                                    hyper.nugget)
             oi = np.where(obs)[0]
             if oi.size == 0:
                 mean = np.zeros(miss.size)

@@ -46,6 +46,7 @@ from .kernels import (
     DimensionMismatchError,
     KernelSpec,
     _cholesky_with_jitter,
+    _correlation_values,
     build_correlation,
     chol_inverse,
     chol_solve,
@@ -178,18 +179,15 @@ def log_marginal_likelihood(X, y, hyper: GPHyperparams) -> float:
 
 class _PreparedSEObjective:
     """Profiled negative log ML for the SE kernel with analytic gradients in
-    log space. Squared distances per dimension and the identical-row indicator
-    are precomputed once per (X, y) pair. ``best`` holds the NLL, theta, the
-    correlation matrix, R^-1 y and q of the lowest NLL returned so far, so the
-    fitted model needs no second factorisation."""
+    log space. Squared distances per dimension are precomputed once per (X, y)
+    pair. ``best`` holds the NLL, theta, the correlation matrix, R^-1 y and q of
+    the lowest NLL returned so far, so the fitted model needs no second
+    factorisation."""
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
         self.y = y
         self.n = X.shape[0]
         self.d2 = np.stack([(X[:, k, None] - X[None, :, k]) ** 2 for k in range(X.shape[1])])
-        # identical rows are those at distance exactly 0, as in build_correlation;
-        # flat indices into an (N, N) array
-        self.same = np.flatnonzero(np.sum(self.d2, axis=0) == 0)
         self.best = None
 
     def __call__(self, theta: np.ndarray):
@@ -198,9 +196,7 @@ class _PreparedSEObjective:
         # calls), and that cost the N = 115 SEM refits about 4x on two cores.
         inv_ls2 = np.exp(-2.0 * theta[:-1])
         nugget = np.exp(theta[-1])
-        R = np.einsum("k,kij->ij", inv_ls2, self.d2)
-        R = np.exp(np.negative(R, out=R), out=R)
-        R.flat[self.same] += nugget
+        R = _correlation_values(np.einsum("k,kij->ij", inv_ls2, self.d2), nugget)
         try:
             L, jitter = _cholesky_with_jitter(R)
         except np.linalg.LinAlgError:
@@ -218,8 +214,8 @@ class _PreparedSEObjective:
         aa *= self.n / quad
         W -= aa
         grad = np.empty_like(theta)
-        grad[-1] = 0.5 * nugget * float(np.sum(W.flat[self.same]))
-        # R is the kernel matrix plus the nugget where every d2 is 0, so it
+        grad[-1] = 0.5 * nugget * float(np.trace(W))  # dR/dtheta_eta = nugget * I
+        # R is the kernel matrix off the diagonal, and every d2 is 0 on it, so R
         # weighs the d2 terms as the kernel matrix does
         W *= R
         grad[:-1] = inv_ls2 * np.einsum("kij,ij->k", self.d2, W)

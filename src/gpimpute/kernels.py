@@ -6,10 +6,10 @@ moments below are closed-form for it. Convention:
 
     k(r) = exp(-r^2 / l^2)
 
-i.e. no factor of 2 in the denominator. Every kernel matrix, and the nugget's
-identical-row indicator, comes from one distance, :func:`scaled_sq_dist`, so
-the ESS likelihood, the fitted and refitted GPs and prediction all build R with
-:func:`build_correlation`. Every Cholesky factor comes from
+i.e. no factor of 2 in the denominator. Every kernel matrix comes from one
+distance, :func:`scaled_sq_dist`, and every correlation matrix K + nugget * I
+(ESS likelihood, fitted GPs, the likelihood objective in ``gp``, SEM priors)
+from :func:`_correlation_values`. Every Cholesky factor comes from
 :func:`_cholesky_with_jitter` and every solve against one from :func:`chol_solve`;
 both call LAPACK (``dpotrf``/``dpotrs``) directly, because the numpy and scipy
 wrappers cost more per call than the routine at the sizes SEM factors many
@@ -84,8 +84,8 @@ def kernel_value(spec: KernelSpec, a, b) -> float:
 def scaled_sq_dist(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared distances sum_d ((A_id - B_jd) / l_d)^2, shape (len(A), len(B)).
 
-    Exactly symmetric when A is B, and exactly 0 between identical rows. When A
-    is B the inputs are scaled once.
+    Exactly symmetric, with an exactly 0 diagonal, when A is B; the inputs are
+    then scaled once.
     """
     b_is_a = B is A
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -184,14 +184,19 @@ def _cholesky_with_jitter(R: np.ndarray) -> tuple[np.ndarray, float]:
             )
 
 
-def build_correlation(spec: KernelSpec, nugget: float, X: np.ndarray) -> CorrelationMatrix:
-    """Correlation matrix k(X_i, X_j) + nugget * 1{X_i = X_j} with factorization.
+def _correlation_values(d2: np.ndarray, nugget: float) -> np.ndarray:
+    """exp(-d2) + nugget * I, in place over the (N, N) squared distances d2."""
+    R = np.exp(np.negative(d2, out=d2), out=d2)
+    R.flat[::R.shape[0] + 1] += nugget
+    return R
 
-    The nugget follows the indicator form: it is added for every pair of
-    identical rows, not just the diagonal, i.e. wherever the scaled distance is
-    exactly 0. The SEM sampler's likelihood and every fitted GP use this matrix;
-    the likelihood objective in ``gp`` rebuilds it from its own distances with
-    the same indicator. Non-finite inputs raise ValueError: LAPACK would
+
+def build_correlation(spec: KernelSpec, nugget: float, X: np.ndarray) -> CorrelationMatrix:
+    """Correlation matrix k(X_i, X_j) + nugget * I with factorization.
+
+    The nugget is on the diagonal only, so identical rows of X leave R positive
+    definite for any positive nugget. The SEM sampler's likelihood and every
+    fitted GP use this matrix. Non-finite inputs raise ValueError: LAPACK would
     factor their NaN rows without reporting a failure.
     """
     if not (nugget >= 0 and math.isfinite(nugget)):
@@ -199,11 +204,7 @@ def build_correlation(spec: KernelSpec, nugget: float, X: np.ndarray) -> Correla
     X = np.asarray(X, dtype=float)
     if not np.isfinite(X).all():
         raise ValueError("correlation inputs are not finite")
-    d2 = scaled_sq_dist(spec, X, X)
-    same = d2 == 0
-    # R = exp(-d2), in place
-    R = np.exp(np.negative(d2, out=d2), out=d2)
-    np.add(R, nugget, out=R, where=same)
+    R = _correlation_values(scaled_sq_dist(spec, X, X), nugget)
     L, jitter = _cholesky_with_jitter(R)
     return CorrelationMatrix(values=R, chol=L, jitter_applied=jitter)
 

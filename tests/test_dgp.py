@@ -36,7 +36,7 @@ from gpimpute.gp import (
     make_fitted_gp,
     predict_batch,
 )
-from gpimpute.kernels import KernelSpec, build_correlation
+from gpimpute.kernels import KernelSpec, build_correlation, kernel_value
 from gpimpute.linked import LayerArchitecture, LinkedEmulator, link_predict
 
 
@@ -167,8 +167,7 @@ class TestImputeLatents:
     def test_output_loglik_matches_reference(self, n):
         # the ESS likelihood builds R with build_correlation, as the refit
         # objective does, so it equals the reference log density on distinct
-        # latent rows and, with the nugget on every identical pair, on two
-        # identical fully observed rows
+        # latent rows and on two identical fully observed rows
         rng = np.random.default_rng(5)
         state = make_state(rng, n=n)
         impute_latents(state, rng, sweeps=2)
@@ -183,20 +182,40 @@ class TestImputeLatents:
     @pytest.mark.parametrize("case", ["distinct", "duplicate-rows", "close-rows-no-nugget"])
     def test_output_loglik_is_the_reference_bitwise(self, case):
         # the ESS likelihood is the Gaussian log density over build_correlation's
-        # factor, whatever that call adds for the nugget and the jitter
+        # factor, whatever jitter that call adds
         rng = np.random.default_rng(8)
         state = make_state(rng, n=40)
         w = rng.standard_normal((40, 2))
         if case == "duplicate-rows":
-            # the nugget goes on every identical pair, so R is singular until jittered
+            # the nugget on the diagonal keeps R positive definite: no jitter
             w[[1, 7]] = w[[0, 3]]
         elif case == "close-rows-no-nugget":
             w[[1, 7]] = w[[0, 3]] + 1e-9
             state.set_hyperparams(state.first_hyper, replace(state.second_hyper, nugget=0.0))
         hyper = state.second_hyper
         corr = build_correlation(hyper.kernel, hyper.nugget, w)
-        assert (corr.jitter_applied > 0) == (case != "distinct")
+        assert (corr.jitter_applied > 0) == (case == "close-rows-no-nugget")
         assert state.output_loglik(w) == _gaussian_logpdf(state.y, corr.chol, hyper.scale)
+
+    def test_identical_latent_rows_score_k_plus_nugget_identity(self):
+        # two identical latent rows: the ESS likelihood and log_marginal_likelihood
+        # are the Gaussian log density of y under scale * (K + nugget * I), with K
+        # built here entry by entry from kernel_value
+        rng = np.random.default_rng(9)
+        state = make_state(rng)
+        w = state.w.copy()
+        w[1] = w[0]
+        hyper = state.second_hyper
+        n = len(w)
+        K = np.array([[kernel_value(hyper.kernel, w[i], w[j]) for j in range(n)]
+                      for i in range(n)])
+        cov = hyper.scale * (K + hyper.nugget * np.eye(n))
+        sign, logdet = np.linalg.slogdet(cov)
+        assert sign == 1
+        ref = -0.5 * (n * np.log(2 * np.pi) + logdet + state.y @ np.linalg.solve(cov, state.y))
+        assert state.output_loglik(w) == pytest.approx(ref, rel=1e-10)
+        assert log_marginal_likelihood(w, state.y, hyper) == pytest.approx(ref, rel=1e-10)
+        assert build_correlation(hyper.kernel, hyper.nugget, w).jitter_applied == 0
 
 
 def reference_sweep(state, rng):

@@ -101,19 +101,23 @@ class TestFit:
         assert m1.hyper.nugget == m2.hyper.nugget
 
     @pytest.mark.parametrize(
-        "n, d, theta",
+        "n, d, theta, repeated",
         [
-            (25, 2, [np.log(0.4), np.log(0.9), np.log(0.02)]),
+            (25, 2, [np.log(0.4), np.log(0.9), np.log(0.02)], False),
             # first-layer shape at the largest window length
-            (115, 1, [np.log(0.1), np.log(0.02)]),
+            (115, 1, [np.log(0.1), np.log(0.02)], False),
             # second-layer shape: three latent inputs
-            (40, 3, [np.log(0.6)] * 3 + [np.log(0.05)]),
+            (40, 3, [np.log(0.6)] * 3 + [np.log(0.05)], False),
+            # the same, with rows 1 and 7 repeating rows 0 and 3
+            (40, 3, [np.log(0.6)] * 3 + [np.log(0.05)], True),
         ],
-        ids=["n25-d2", "n115-d1", "n40-d3"],
+        ids=["n25-d2", "n115-d1", "n40-d3", "n40-d3-repeated-rows"],
     )
-    def test_gradient_matches_finite_differences(self, n, d, theta):
+    def test_gradient_matches_finite_differences(self, n, d, theta, repeated):
         rng = np.random.default_rng(4)
         X = rng.uniform(0, 1, (n, d))
+        if repeated:
+            X[[1, 7]] = X[[0, 3]]
         y = rng.standard_normal(n)
         obj = _PreparedSEObjective(X, y)
         theta = np.array(theta)
@@ -121,9 +125,17 @@ class TestFit:
         # the profiled NLL is -log ML at sigma^2 = q / N, less its constant
         ls, nugget = np.exp(theta[:-1]), np.exp(theta[-1])
         corr = build_correlation(KernelSpec(ls), nugget, X)
+        assert corr.jitter_applied == 0
         hyper = GPHyperparams(kernel=KernelSpec(ls), scale=y @ corr.solve(y) / n, nugget=nugget)
         reference = -log_marginal_likelihood(X, y, hyper) - 0.5 * n * (1 + np.log(2 * np.pi))
         assert value == pytest.approx(reference, rel=1e-10)
+        # and independently of the package: numpy's slogdet and solve of K + nugget * I
+        R = np.exp(-np.sum(((X[:, None, :] - X[None, :, :]) / ls) ** 2, axis=-1))
+        R += nugget * np.eye(n)
+        sign, logdet = np.linalg.slogdet(R)
+        assert sign == 1
+        numpy_nll = 0.5 * n * np.log(y @ np.linalg.solve(R, y) / n) + 0.5 * logdet
+        assert value == pytest.approx(numpy_nll, rel=1e-10)
         for k in range(len(theta)):
             e = np.zeros_like(theta)
             e[k] = 1e-6
@@ -204,15 +216,17 @@ class TestOptimizer:
         assert np.array_equal(res.x, lo)
 
     def test_unfactorable_start_returns_without_error(self, monkeypatch):
-        # identical rows with the jitter ladder capped: R cannot be factored anywhere
+        # identical rows, the jitter ladder capped and a nugget lost in 1's
+        # round-off: R cannot be factored anywhere in the box
         monkeypatch.setattr(kernels, "JITTER_MAX", 0.0)
         X = np.array([[0.2], [0.2], [0.7]])
         y = np.array([0.1, -0.4, 0.3])
-        lo, hi = _log_bounds(X, FitConfig())
-        res = minimize(_PreparedSEObjective(X, y), np.log([0.5, 1e-3]), lo, hi, 50)
+        config = FitConfig(nugget_bounds=(1e-300, 1e-300))
+        lo, hi = _log_bounds(X, config)
+        res = minimize(_PreparedSEObjective(X, y), np.log([0.5, 1e-300]), lo, hi, 50)
         assert res.fun == np.inf and not res.success and res.nfev == 1
         with pytest.raises(FitFailureError, match="no finite objective"):
-            refit_gp(X, y, se_hyper(0.5, nugget=1e-3))
+            refit_gp(X, y, se_hyper(0.5, nugget=1e-3), config=config)
 
     def test_non_finite_trial_is_a_failed_step(self):
         X, (y,) = drifting_outputs(40, 1, 0, seed=3)

@@ -71,24 +71,26 @@ class TestBuildCorrelation:
         corr = build_correlation(se(1.0), 0.1, [[0.5]])
         assert np.allclose(corr.values, [[1.1]])
 
-    def test_duplicate_rows_nugget_indicator(self):
-        # nugget added to every identical-row pair, not just the diagonal
+    def test_duplicate_rows_nugget_on_diagonal_only(self):
+        # K + nugget * I: identical rows correlate at exactly 1, and the nugget on
+        # the diagonal keeps R positive definite, so it factors with no jitter
         X = np.array([[0.3], [0.3], [1.0]])
         corr = build_correlation(se(1.0), 0.2, X)
-        assert corr.values[0, 1] == pytest.approx(1.2)
-        assert corr.values[0, 0] == pytest.approx(1.2)
-        assert corr.values[2, 2] == pytest.approx(1.2)
+        assert corr.values[0, 1] == 1.0
+        assert corr.values[0, 0] == corr.values[1, 1] == corr.values[2, 2] == 1.2
         assert corr.values[0, 2] == pytest.approx(kernel_value(se(1.0), [0.3], [1.0]))
-        # D = 3: only the repeated row pair (0, 3) gets the off-diagonal nugget
+        # D = 3, rows 0 and 3 identical
         X3 = np.array([[0.1, 0.5, -0.2], [0.1, 0.5, 0.7], [0.4, -1.0, 0.3], [0.1, 0.5, -0.2]])
         spec3 = se(0.6, 1.1, 0.9)
         corr3 = build_correlation(spec3, 0.2, X3)
         for i in range(4):
             for j in range(4):
-                same = np.array_equal(X3[i], X3[j])
-                expected = kernel_value(spec3, X3[i], X3[j]) + (0.2 if same else 0.0)
+                expected = kernel_value(spec3, X3[i], X3[j]) + (0.2 if i == j else 0.0)
                 assert corr3.values[i, j] == pytest.approx(expected, rel=1e-14)
-        assert corr3.values[0, 3] == 1.2
+        assert corr3.values[0, 3] == 1.0
+        for c in (corr, corr3):
+            assert c.jitter_applied == 0
+            assert np.allclose(c.chol @ c.chol.T, c.values, rtol=0, atol=1e-14)
 
     def test_rank_one_duplicate_no_nugget_jitter(self):
         # two identical rows, eta=0: exactly singular; jitter policy repairs and records
@@ -211,15 +213,16 @@ class TestCholeskyFactor:
         assert max(sizes["dgemm"]) < 2**19
 
     def test_unfactorable_scores_minus_inf(self, monkeypatch):
-        # with the ladder capped below its first rung, identical rows cannot be
-        # factored: the ESS likelihood is -inf and the refit objective inf
+        # with the ladder capped below its first rung, identical rows with a
+        # nugget lost in 1's round-off cannot be factored: the ESS likelihood is
+        # -inf and the refit objective inf
         from gpimpute.dgp import LatentState
         from gpimpute.gp import GPHyperparams, _PreparedSEObjective
 
         monkeypatch.setattr(kernels, "JITTER_MAX", 0.0)
         X = np.array([[0.2], [0.2], [0.7]])
         y = np.array([0.1, -0.4, 0.3])
-        nll, grad = _PreparedSEObjective(X, y)(np.log([0.5, 1e-3]))
+        nll, grad = _PreparedSEObjective(X, y)(np.log([0.5, 1e-300]))
         assert nll == np.inf and np.all(grad == 0)
         hyper = GPHyperparams(kernel=se(0.5), scale=1.0, nugget=0.0)
         state = LatentState(X=X, y=y, latent_obs=X, latent_mask=np.ones((3, 1), bool),
