@@ -54,6 +54,7 @@ from .kernels import (
 )
 
 NUGGET_FLOOR = 1e-8
+_EPS = np.finfo(float).eps
 _LOG_2PI = np.log(2.0 * np.pi)
 _VARIANCE_CLAMP_TOL = 1e-10
 
@@ -97,8 +98,11 @@ class FitConfig:
                 raise ValueError(f"{name} must be >= {low}")
         if not 0 < self.lengthscale_range[0] < self.lengthscale_range[1]:
             raise ValueError("lengthscale_range must satisfy 0 < low < high")
-        if not 0 < self.nugget_bounds[0] <= self.nugget_bounds[1]:
-            raise ValueError("nugget_bounds must satisfy 0 < low <= high")
+        # below the spacing of doubles at 1, 1 + nugget can round to 1: the fit
+        # has no nugget, and identical input rows make R singular
+        if not _EPS <= self.nugget_bounds[0] <= self.nugget_bounds[1]:
+            raise ValueError(f"nugget_bounds must satisfy {_EPS:.3g} <= low <= high, "
+                             f"got {tuple(self.nugget_bounds)}")
 
 
 @dataclass(frozen=True)
@@ -226,7 +230,6 @@ class _PreparedSEObjective:
 # the reduction of the objective in one iteration relative to max(|f|, 1), is
 # this small
 _PGTOL = 1e-5
-_EPS = np.finfo(float).eps
 _FTOL = 1e7 * _EPS
 _ARMIJO = 1e-4
 _MAX_TRIALS = 20  # objective evaluations per line search

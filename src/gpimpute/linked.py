@@ -16,6 +16,11 @@ exponential of one summed exponent (:func:`kernels.expect_kk_pairwise`):
 where d2 is the lengthscale-scaled squared distance R(w) is built from and
 u_i = (m - w_i) / sqrt(2 (l^2 + 4 v)). The trace term is computed as the
 elementwise sum of R^-1 * J, never as an explicit matrix product.
+
+:func:`propagate_moments` reads only the second layer's hyperparameters, its
+training latents w, alpha = R(w)^-1 y and R(w)^-1: the ensemble in ``dgp``
+keeps just alpha and R^-1 per distinct draw, and :func:`link_predict` passes
+those of a fitted GP.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gp import FittedGP, PredictiveGaussian, predict_batch
+from .gp import FittedGP, GPHyperparams, PredictiveGaussian, predict_batch
 from .kernels import expect_k, expect_kk_pairwise
 
 
@@ -70,35 +75,32 @@ def _latent_predictions(first_layer: list[FittedGP],
     return np.stack([m for m, _ in preds], axis=1), np.stack([v for _, v in preds], axis=1)
 
 
-def propagate_moments(
-    model: FittedGP, m: np.ndarray, v: np.ndarray, Rinv: np.ndarray | None = None
-) -> tuple[float, float]:
-    """Push a Gaussian input N(m, diag(v)) through a fitted GP's posterior.
+def propagate_moments(hyper: GPHyperparams, W: np.ndarray, alpha: np.ndarray,
+                      Rinv: np.ndarray, m: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """Push a Gaussian input N(m, diag(v)) through the posterior of a GP with
+    hyperparameters ``hyper`` on training inputs W (N, P), given alpha = R^-1 y
+    and R^-1.
 
     Returns the exact mean/variance of the predictive mixture; the variance may
     be slightly negative in floating point (caller clamps). Applying this
     repeatedly layer by layer evaluates deeper feed-forward chains.
     """
-    kernel = model.hyper.kernel
-    W = model.training.X
+    kernel = hyper.kernel
     I = expect_k(kernel, m, v, W)
     J = expect_kk_pairwise(kernel, m, v, W)
-    alpha = model.alpha
-    if Rinv is None:
-        Rinv = model.corr.inverse()
     mu = float(I @ alpha)
     var = (
         float(alpha @ J @ alpha)
         - mu**2
-        + model.hyper.scale * (1.0 + model.hyper.nugget - float(np.sum(Rinv * J)))
+        + hyper.scale * (1.0 + hyper.nugget - float(np.sum(Rinv * J)))
     )
     return mu, var
 
 
-def _propagated_gaussian(model: FittedGP, m: np.ndarray, v: np.ndarray,
-                         Rinv: np.ndarray | None = None) -> PredictiveGaussian:
+def _propagated_gaussian(hyper: GPHyperparams, W: np.ndarray, alpha: np.ndarray,
+                         Rinv: np.ndarray, m: np.ndarray, v: np.ndarray) -> PredictiveGaussian:
     """:func:`propagate_moments` with a negative (round-off) variance clamped to 0."""
-    mu, var = propagate_moments(model, m, v, Rinv)
+    mu, var = propagate_moments(hyper, W, alpha, Rinv, m, v)
     return PredictiveGaussian(mean=mu, variance=max(var, 0.0))
 
 
@@ -109,4 +111,6 @@ def link_predict(em: LinkedEmulator, x0) -> PredictiveGaussian:
     the benchmark tracer also looks it up by name."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     means, variances = _latent_predictions(em.first_layer, x0[None, :])
-    return _propagated_gaussian(em.second_layer, means[0], variances[0])
+    gp = em.second_layer
+    return _propagated_gaussian(gp.hyper, gp.training.X, gp.alpha, gp.corr.inverse(),
+                                means[0], variances[0])

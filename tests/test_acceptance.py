@@ -93,7 +93,7 @@ def test_criterion_02_linked_gp_oracle():
         m = rng.uniform(-1, 1, P)
         v = rng.uniform(0.01, 0.2, P)
 
-        mu, var = propagate_moments(model, m, v)
+        mu, var = propagate_moments(hyper, W, model.alpha, model.corr.inverse(), m, v)
 
         mc_rng = np.random.default_rng(5000 + case)  # oracle stream, fixed
         sum_m = sum_m2 = sum_v = 0.0

@@ -37,7 +37,13 @@ from gpimpute.gp import (
     predict_batch,
 )
 from gpimpute.kernels import KernelSpec, build_correlation, kernel_value
-from gpimpute.linked import LayerArchitecture, LinkedEmulator, link_predict
+from gpimpute.linked import (
+    LayerArchitecture,
+    LinkedEmulator,
+    _latent_predictions,
+    _propagated_gaussian,
+    link_predict,
+)
 
 
 def se_spec(*lengthscales):
@@ -437,9 +443,10 @@ class TestTrainSEM:
         # every draw of a fully observed emulator is the data, so one second-layer
         # GP serves them all, and covariate imputation builds none
         built = []
-        real = dgp.make_fitted_gp
-        monkeypatch.setattr(dgp, "make_fitted_gp",
-                            lambda X, y, hyper: built.append(np.shape(X)) or real(X, y, hyper))
+        real = dgp.build_correlation
+        monkeypatch.setattr(dgp, "build_correlation",
+                            lambda spec, nugget, X: built.append(np.shape(X))
+                            or real(spec, nugget, X))
         em = train_sem(make_window(seed=12), small_arch(),
                        replace(FAST_SEM, n_imputations=20), 5)
         n_second = lambda: sum(shape[1] == 3 for shape in built)  # noqa: E731
@@ -448,6 +455,56 @@ class TestTrainSEM:
         preds = [predict_ensemble(em, [x]) for x in (0.3, 0.8)]
         assert n_second() == 1
         assert all(len(p.components) == 20 and len(set(p.components)) == 1 for p in preds)
+
+    @pytest.mark.parametrize("masked", [True, False], ids=["masked", "fully-observed"])
+    def test_second_layer_keeps_alpha_and_inverse_per_distinct_draw(self, masked):
+        table = masked_window(seed=12) if masked else make_window(seed=12)
+        em = train_sem(table, small_arch(), FAST_SEM, 5)
+        n = em.draws.shape[1]
+        firsts, layers = em.second_layer
+        assert sorted(layers) == sorted(set(firsts))
+        assert len(layers) == (FAST_SEM.n_imputations if masked else 1)
+        for entry in layers.values():
+            assert type(entry) is tuple and len(entry) == 2
+            assert all(type(a) is np.ndarray and a.dtype == float for a in entry)
+            assert [a.shape for a in entry] == [(n,), (n, n)]
+
+    @pytest.mark.parametrize("masked", [True, False], ids=["masked", "fully-observed"])
+    def test_ensemble_is_the_per_fitted_gp_reference_bitwise(self, masked):
+        # each distinct draw's alpha and R^-1 are those of its fitted GP, so the
+        # propagated components, and their mixture, are the same floats; a
+        # repeated draw takes the component of its first copy
+        table = masked_window(seed=12) if masked else make_window(seed=12)
+        em = train_sem(table, small_arch(), FAST_SEM, 5)
+        keys = [draw.tobytes() for draw in em.draws]
+        for x0 in ([0.15], [0.45], [0.9]):
+            got = predict_ensemble(em, x0)
+            means, variances = _latent_predictions(em.first_layer, np.array([x0]))
+            components = []
+            for key in keys:
+                s = keys.index(key)
+                gp = make_fitted_gp(em.draws[s], em.train_y, em.second_hyper)
+                components.append(_propagated_gaussian(
+                    gp.hyper, gp.training.X, gp.alpha, gp.corr.inverse(),
+                    means[0, :, s], variances[0]))
+            want = mix_components(components)
+            assert got.components == want.components
+            assert got.mixture == want.mixture
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "short", "long"])
+    def test_bad_train_y_refused_at_first_output_prediction(self, bad):
+        em = train_sem(masked_window(seed=10), small_arch(), FAST_SEM, 3)
+        y = em.train_y.copy()
+        if bad == "nan":
+            y[2] = np.nan
+        elif bad == "inf":
+            y[-1] = np.inf
+        else:
+            y = y[:-1] if bad == "short" else np.append(y, 0.5)
+        broken = replace(em, train_y=y)
+        impute_covariates(broken, [0.3], "sid")  # reads no output
+        with pytest.raises(ValueError):
+            predict_ensemble(broken, [0.3])
 
     @pytest.mark.parametrize("masked", [True, False], ids=["masked", "fully-observed"])
     def test_components_match_per_draw_reference(self, masked):

@@ -152,6 +152,14 @@ class TestFit:
         assert 0.5 * (1 - 1e-12) <= model.hyper.kernel.lengthscales[0] <= 0.6 * (1 + 1e-12)
         assert 1e-3 * (1 - 1e-12) <= model.hyper.nugget <= 1e-2 * (1 + 1e-12)
 
+    @pytest.mark.parametrize("low", [1e-300, 1e-17, np.finfo(float).eps / 2])
+    def test_nugget_floor_below_double_spacing_refused(self, low):
+        # below the spacing of doubles at 1, 1 + nugget can round to 1: no
+        # nugget, and identical rows make R singular
+        with pytest.raises(ValueError, match="nugget_bounds"):
+            FitConfig(nugget_bounds=(low, 1.0))
+        FitConfig(nugget_bounds=(np.finfo(float).eps, 1.0))
+
 
 class TestOptimizer:
     """The projected BFGS behind fit_gp and refit_gp, against scipy's L-BFGS-B
@@ -217,16 +225,18 @@ class TestOptimizer:
 
     def test_unfactorable_start_returns_without_error(self, monkeypatch):
         # identical rows, the jitter ladder capped and a nugget lost in 1's
-        # round-off: R cannot be factored anywhere in the box
+        # round-off: R cannot be factored anywhere in the box, which no
+        # FitConfig allows, so the box is given directly
         monkeypatch.setattr(kernels, "JITTER_MAX", 0.0)
         X = np.array([[0.2], [0.2], [0.7]])
         y = np.array([0.1, -0.4, 0.3])
-        config = FitConfig(nugget_bounds=(1e-300, 1e-300))
-        lo, hi = _log_bounds(X, config)
+        lo, hi = np.log([0.005, 1e-300]), np.log([5.0, 1e-300])
         res = minimize(_PreparedSEObjective(X, y), np.log([0.5, 1e-300]), lo, hi, 50)
         assert res.fun == np.inf and not res.success and res.nfev == 1
+        # under a valid config, y = 0 has quadratic form 0 (a profiled scale of
+        # 0), so every objective evaluation of the refit is inf
         with pytest.raises(FitFailureError, match="no finite objective"):
-            refit_gp(X, y, se_hyper(0.5, nugget=1e-3), config=config)
+            refit_gp(X, np.zeros(3), se_hyper(0.5, nugget=1e-3), config=FitConfig())
 
     def test_non_finite_trial_is_a_failed_step(self):
         X, (y,) = drifting_outputs(40, 1, 0, seed=3)

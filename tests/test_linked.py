@@ -14,6 +14,11 @@ def se_hyper(l, scale=1.0, nugget=1e-8):
     return GPHyperparams(kernel=se_spec(*np.atleast_1d(l)), scale=scale, nugget=nugget)
 
 
+def propagate(gp, m, v):
+    """propagate_moments through a fitted GP, as link_predict calls it."""
+    return propagate_moments(gp.hyper, gp.training.X, gp.alpha, gp.corr.inverse(), m, v)
+
+
 def build_emulator(rng, n=15, p=2, l_first=0.4, l_second=0.5, nugget=1e-6):
     """Hand-assembled two-layer emulator on synthetic smooth data."""
     X = np.sort(rng.uniform(0, 1, (n, 1)), axis=0)
@@ -84,7 +89,7 @@ class TestLinkPredict:
         x0 = np.array([0.52])
         preds = [predict(m, x0) for m in em.first_layer]
         m_lat = np.array([p.mean for p in preds])
-        mu, var = propagate_moments(em.second_layer, m_lat, np.zeros(2))
+        mu, var = propagate(em.second_layer, m_lat, np.zeros(2))
         direct = predict(em.second_layer, m_lat)
         assert abs(mu - direct.mean) < 1e-10
         assert abs(var - direct.variance) < 1e-10
@@ -95,7 +100,7 @@ class TestLinkPredict:
         direct = predict(em.second_layer, m_lat)
         errs = []
         for v in [1e-2, 1e-4, 1e-6]:
-            mu, var = propagate_moments(em.second_layer, m_lat, np.full(2, v))
+            mu, var = propagate(em.second_layer, m_lat, np.full(2, v))
             errs.append(abs(mu - direct.mean) + abs(var - direct.variance))
         assert errs[0] > errs[1] > errs[2]
 
@@ -105,7 +110,7 @@ class TestLinkPredict:
         w1, y1 = 0.2, 1.5
         second = make_fitted_gp([[w1]], [y1], se_hyper(1.0, 1.0, eta))
         m, v = 0.6, 0.1
-        mu, var = propagate_moments(second, np.array([m]), np.array([v]))
+        mu, var = propagate(second, np.array([m]), np.array([v]))
         kernel = second.hyper.kernel
         I1 = expect_k(kernel, np.array([m]), np.array([v]), np.array([w1]))
         J11 = expect_kk(kernel, np.array([m]), np.array([v]), [w1], [w1])
@@ -124,7 +129,7 @@ class TestLinkPredict:
         em = build_emulator(rng, n=12, p=2)
         m_lat = np.array([0.3, -0.4])
         v_lat = np.array([0.05, 0.02])
-        mu, var = propagate_moments(em.second_layer, m_lat, v_lat)
+        mu, var = propagate(em.second_layer, m_lat, v_lat)
         n_mc = 200_000
         W = m_lat + np.sqrt(v_lat) * rng.standard_normal((n_mc, 2))
         from gpimpute.gp import predict_batch
@@ -146,8 +151,8 @@ class TestLinkPredict:
         g_mid = make_fitted_gp(X, mid, se_hyper(0.4, 1.0, 1e-6))
         g_top = make_fitted_gp(top_in, top_out, se_hyper(0.5, 1.0, 1e-6))
         m0, v0 = 0.45, 0.01
-        m1, v1 = propagate_moments(g_mid, np.array([m0]), np.array([v0]))
-        m2, v2 = propagate_moments(g_top, np.array([m1]), np.array([max(v1, 0.0)]))
+        m1, v1 = propagate(g_mid, np.array([m0]), np.array([v0]))
+        m2, v2 = propagate(g_top, np.array([m1]), np.array([max(v1, 0.0)]))
 
         n_mc = 100_000
         from gpimpute.gp import predict_batch
@@ -168,3 +173,68 @@ class TestLinkPredict:
         assert np.isfinite(pred.mean)
         assert pred.variance >= 0
 
+
+
+def _longdouble_cholesky(A):
+    """Lower Cholesky factor of A, column by column, in A's dtype."""
+    L = np.zeros_like(A)
+    for j in range(len(A)):
+        L[j, j] = np.sqrt(A[j, j] - L[j, :j] @ L[j, :j])
+        L[j + 1:, j] = (A[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+    return L
+
+
+def _longdouble_inverse(L):
+    """(L L^T)^-1 = L^-T L^-1, with L^-1 by forward substitution in L's dtype."""
+    n = len(L)
+    Linv = np.zeros_like(L)
+    for j in range(n):
+        for i in range(j, n):
+            Linv[i, j] = ((i == j) - L[i, j:i] @ Linv[j:i, j]) / L[i, i]
+    return Linv.T @ Linv
+
+
+def longdouble_moments(W, y, hyper, m, v):
+    """The linked mean and variance with I, J, alpha and R^-1 all formed in
+    np.longdouble from the per-dimension expectation formulas."""
+    ld = np.longdouble
+    W, y, m, v = (np.asarray(a, dtype=ld) for a in (W, y, m, v))
+    l2 = hyper.kernel.lengthscales.astype(ld) ** 2
+    diff = W[:, None, :] - W[None, :, :]
+    R = np.exp(-np.sum(diff**2 / l2, axis=-1)) + ld(hyper.nugget) * np.eye(len(W), dtype=ld)
+    Rinv = _longdouble_inverse(_longdouble_cholesky(R))
+    alpha = Rinv @ y
+    I = np.prod(np.sqrt(l2 / (l2 + 2 * v)) * np.exp(-((m - W) ** 2) / (l2 + 2 * v)), axis=1)
+    wbar = 0.5 * (W[:, None, :] + W[None, :, :])
+    J = np.prod(np.exp(-diff**2 / (2 * l2)) * np.sqrt(l2 / (l2 + 4 * v))
+                * np.exp(-2 * (m - wbar) ** 2 / (l2 + 4 * v)), axis=-1)
+    mu = I @ alpha
+    var = alpha @ J @ alpha - mu**2 + ld(hyper.scale) * (1 + ld(hyper.nugget) - np.sum(Rinv * J))
+    return mu, var
+
+
+class TestExtendedPrecisionOracle:
+    # the bound is fixed before the run; the measured maximum is recorded with
+    # the change that added this test
+    VAR_REL_TOL = 1e-8
+
+    def test_variance_matches_longdouble_oracle(self):
+        # random systems as criterion 02 draws them (N 5-30, P 1-3), with alpha
+        # and R^-1 from the float64 path the ensemble uses
+        worst = 0.0
+        for case in range(200):
+            rng = np.random.default_rng(2000 + case)
+            P = int(rng.integers(1, 4))
+            N = int(rng.integers(5, 31))
+            W = rng.uniform(-1, 1, (N, P))
+            y = np.sin(W.sum(axis=1)) + 0.1 * rng.standard_normal(N)
+            hyper = se_hyper(rng.uniform(0.5, 1.5, P), rng.uniform(0.5, 2.0),
+                             rng.uniform(1e-6, 0.1))
+            m = rng.uniform(-1, 1, P)
+            v = rng.uniform(0.01, 0.2, P)
+            mu, var = propagate(make_fitted_gp(W, y, hyper), m, v)
+            ref_mu, ref_var = longdouble_moments(W, y, hyper, m, v)
+            assert ref_var > 0
+            assert abs(mu - ref_mu) <= 1e-10 * abs(ref_mu) + 1e-14, f"case {case}"
+            worst = max(worst, float(abs(var - ref_var) / ref_var))
+        assert worst <= self.VAR_REL_TOL

@@ -455,6 +455,8 @@ class TestCLI:
             ({"synthetic": {"readout_weights": [1, 2, float("inf")]}}, "readout_weights"),
             ({"synthetic": {"output_noise_sd": -1}}, "output_noise_sd"),
             ({"synthetic": {"covariate_noise_sd": float("nan")}}, "covariate_noise_sd"),
+            ({"fit": {"nugget_bounds": [1e-300, 1.0]}}, "nugget_bounds"),
+            ({"sem": {"fit": {"nugget_bounds": [1e-17, 0.1]}}}, "nugget_bounds"),
         ],
         ids=["fit-family", "sem-sweep-order", "top-level-typo", "bad-mode", "sem-burn-in",
              "sem-zero-imputations", "fit-nugget-bounds", "proportion-above-one",
@@ -469,7 +471,8 @@ class TestCLI:
              "synthetic-repeated-covariate", "synthetic-negative-lengthscales",
              "synthetic-lengthscales-reversed", "synthetic-two-weights",
              "synthetic-infinite-weight", "synthetic-negative-output-noise",
-             "synthetic-nan-covariate-noise"],
+             "synthetic-nan-covariate-noise", "fit-nugget-below-double-spacing",
+             "sem-fit-nugget-below-double-spacing"],
     )
     def test_run_rejects_bad_config_before_any_cell(self, tmp_path, bad, key):
         cfg = {
