@@ -253,11 +253,15 @@ def impute_latents(state: LatentState, rng: np.random.Generator, sweeps: int = 1
     return state.w.copy()
 
 
-@dataclass
+@dataclass(frozen=True)
 class DGPSIEmulator:
     """Ensemble of S latent draws. The draws share the training inputs and
     first-layer hyperparameters, so each latent node has one GP whose column s
-    is draw s; the second layer keeps alpha and R^-1 per distinct draw."""
+    is draw s; the second layer keeps alpha and R^-1 per distinct draw.
+
+    Frozen, and its arrays are read-only copies, so the layers built from them
+    cannot go stale: :func:`dataclasses.replace` makes an emulator from new values.
+    """
 
     architecture: LayerArchitecture
     first_hyper: list[GPHyperparams]
@@ -270,15 +274,21 @@ class DGPSIEmulator:
     first_layer: list[FittedGP] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.first_layer = [make_fitted_gp(self.train_X, self.draws[:, :, p].T, h)
-                            for p, h in enumerate(self.first_hyper)]
+        for name, dtype in (("draws", float), ("latent_mask", bool), ("train_X", float),
+                            ("train_y", float)):
+            values = np.array(getattr(self, name), dtype=dtype)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        object.__setattr__(self, "first_layer", [
+            make_fitted_gp(self.train_X, self.draws[:, :, p].T, h)
+            for p, h in enumerate(self.first_hyper)])
 
     @cached_property
     def second_layer(self) -> tuple[list[int], dict[int, tuple[np.ndarray, np.ndarray]]]:
         """For each draw, the index of its first bitwise-equal draw; and for each
         such first draw s, alpha_s = R_s^-1 y (N,) and R_s^-1 (N, N), from one
         factor of R_s that is not kept. Built on first output prediction."""
-        y = np.asarray(self.train_y, dtype=float)
+        y = self.train_y
         n = self.draws.shape[1]
         if y.shape != (n,) or not np.isfinite(y).all():
             raise ValueError(f"train_y must be {n} finite outputs, one per training row")
@@ -320,7 +330,7 @@ def _geometric_mean_hyper(trace: list[GPHyperparams]) -> GPHyperparams:
     """Arithmetic mean in log space of lengthscales, scale, and nugget."""
     ls = np.exp(np.mean([np.log(h.kernel.lengthscales) for h in trace], axis=0))
     scale = float(np.exp(np.mean([np.log(h.scale) for h in trace])))
-    nugget = float(np.exp(np.mean([np.log(max(h.nugget, 1e-300)) for h in trace])))
+    nugget = float(np.exp(np.mean([np.log(h.nugget) for h in trace])))
     return GPHyperparams(kernel=KernelSpec(ls), scale=scale, nugget=nugget)
 
 
@@ -474,109 +484,69 @@ def _fixed_cells_agree(draws: np.ndarray, fixed: np.ndarray) -> bool:
     return bool((bits == bits[:1]).all())
 
 
-def _write_savetxt_csv(path: str, values: np.ndarray):
-    """Write the bytes ``np.savetxt(path, values, delimiter=",")`` writes: one
-    "%.18e" field per column, one row per line (a 1-D array as one column)."""
-    rows = np.asarray(values, dtype=float)
-    if rows.ndim == 1:
-        rows = rows[:, None]
-    line = ",".join(["%.18e"] * rows.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write((line * rows.shape[0]) % tuple(rows.ravel().tolist()))
-
-
 def save_emulator(em: DGPSIEmulator, directory: str):
-    """Persist an emulator as a manifest JSON plus flat CSV payloads. An emulator
-    whose fixed (observed) latent cells differ between draws is refused, as
-    :func:`load_emulator` would refuse its file."""
+    """Persist an emulator as ``manifest.json`` plus one ``np.save`` file per
+    array: float64 ``training_inputs.npy`` (N, D), ``training_outputs.npy`` (N,)
+    and ``imputations.npy`` (the (S, N, P) draws), and bool ``latent_mask.npy``
+    (N, P). An emulator whose fixed (observed) latent cells differ between draws
+    is refused, as :func:`load_emulator` would refuse its files."""
     if not _fixed_cells_agree(em.draws, em.latent_mask):
         raise ValueError("each fixed (observed) latent cell must hold the same value, "
                          "bit for bit, in every draw")
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
         json.dump(em.manifest(), fh, indent=2, sort_keys=True)
-    _write_savetxt_csv(os.path.join(directory, "training_inputs.csv"), em.train_X)
-    _write_savetxt_csv(os.path.join(directory, "training_outputs.csv"), em.train_y)
-    # one line "draw,row,col,value,fixed" per cell; 17 significant digits
-    # round-trip every float64 bitwise. The part of a line after the draw is one
-    # template per (row, col) cell; a fixed cell's value is the same in every
-    # draw, so its text is formatted once, from draw 0.
-    row, col = np.indices(em.latent_mask.shape).reshape(2, -1)
-    fixed = em.latent_mask.ravel()
-    cells = [f"{r},{c},%.17g,{int(f)}\n" for r, c, f in
-             zip(row.tolist(), col.tolist(), fixed.tolist())]
-    values = em.draws.reshape(len(em.draws), -1)
-    tails = [cell % value if f else None
-             for cell, value, f in zip(cells, values[0].tolist(), fixed.tolist())]
-    free = np.flatnonzero(~fixed).tolist()
-    free_cells = [cells[i] for i in free]
-    parts = ["draw,row,col,value,fixed\n"]
-    for s, draw in enumerate(values[:, free].tolist()):
-        for i, cell, value in zip(free, free_cells, draw):
-            tails[i] = cell % value
-        prefix = f"{s},"
-        parts.append(prefix + prefix.join(tails))
-    with open(os.path.join(directory, "imputations.csv"), "w") as fh:
-        fh.write("".join(parts))
+    for name, values in (("training_inputs", em.train_X), ("training_outputs", em.train_y),
+                         ("imputations", em.draws), ("latent_mask", em.latent_mask)):
+        np.save(os.path.join(directory, f"{name}.npy"), values)
 
 
-def _saved_kernel(entry: dict) -> KernelSpec:
-    """SE kernel of one manifest entry. Older manifests name a kernel family;
+def _saved_hyper(entry: dict) -> GPHyperparams:
+    """Hyperparameters of one manifest entry. Older manifests name a kernel family;
     any family but the squared exponential is refused rather than read as SE."""
     family = entry.get("family", "squared_exponential")
     if family != "squared_exponential":
         raise ValueError(f"saved kernel family {family!r} is not supported; "
                          "only the squared exponential kernel is")
-    return KernelSpec(np.array(entry["lengthscales"]))
+    return GPHyperparams(kernel=KernelSpec(np.array(entry["lengthscales"])),
+                         scale=entry["scale"], nugget=entry["nugget"])
 
 
-def _load_finite(path: str, **kwargs) -> np.ndarray:
-    """``np.loadtxt`` of a comma-separated file that must hold finite values only."""
-    values = np.loadtxt(path, delimiter=",", **kwargs)
+def _load_array(directory: str, name: str, dtype, shape: tuple) -> np.ndarray:
+    """One saved array, refused unless it has this dtype and shape (None matches
+    any length) and holds finite values only."""
+    path = os.path.join(directory, name)
+    try:
+        values = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:  # not an .npy array, or an object array
+        raise ValueError(f"{path}: {exc}") from exc
+    if values.dtype != dtype or values.ndim != len(shape) or any(
+            w not in (None, g) for w, g in zip(shape, values.shape)):
+        raise ValueError(f"{path}: {values.dtype} array of shape {values.shape}, expected "
+                         f"{np.dtype(dtype)} of shape {shape} (None: any length)")
     if not np.isfinite(values).all():
         raise ValueError(f"{path}: holds a non-finite value")
     return values
 
 
 def load_emulator(directory: str) -> DGPSIEmulator:
-    """Rebuild a saved emulator. The node names come from the manifest's
-    ``latent_nodes``/``output_node``; an ``architecture`` entry, which older
-    manifests carry, is not read."""
+    """Rebuild an emulator from :func:`save_emulator`'s files. An array of another
+    dtype or shape, a non-finite value, or a fixed cell whose bits differ between
+    draws is a ``ValueError`` naming the file. A directory in the older per-cell
+    CSV layout raises ``FileNotFoundError`` for ``training_inputs.npy``."""
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
     arch = LayerArchitecture(tuple(manifest["latent_nodes"]), manifest["output_node"])
-    first_hyper = [
-        GPHyperparams(kernel=_saved_kernel(e), scale=e["scale"], nugget=e["nugget"])
-        for e in manifest["first_layer"]
-    ]
-    e2 = manifest["second_layer"]
-    second_hyper = GPHyperparams(kernel=_saved_kernel(e2), scale=e2["scale"], nugget=e2["nugget"])
-    X = _load_finite(os.path.join(directory, "training_inputs.csv"), ndmin=2)
-    y_path = os.path.join(directory, "training_outputs.csv")
-    y = _load_finite(y_path).ravel()
-    n = X.shape[0]
-    if y.shape[0] != n:
-        raise ValueError(f"{y_path}: {y.shape[0]} outputs for {n} training inputs")
-    p = len(first_hyper)
-    path = os.path.join(directory, "imputations.csv")
-    cells = _load_finite(path, skiprows=1, ndmin=2)  # draw,row,col,value,fixed
-    cells = cells[np.lexsort(cells[:, 2::-1].T)]  # by draw, then row, then col
-    draw_ids = np.unique(cells[:, 0])
-    draw, row, col = np.indices((draw_ids.size, n, p)).reshape(3, -1)
-    expected = np.column_stack([draw_ids[draw], row, col])
-    if cells.shape[1] != 5 or not np.array_equal(cells[:, :3], expected):
-        raise ValueError(f"{path}: every (draw, row, col) cell of the {n} x {p} latents "
-                         "must appear exactly once per draw")
-    fixed = cells[:, 4].reshape(-1, n, p) != 0
-    if not (fixed == fixed[0]).all():
-        raise ValueError(f"{path}: the fixed flag of each (row, col) cell must be the "
-                         "same in every draw")
-    draws = cells[:, 3].reshape(-1, n, p)
-    if not _fixed_cells_agree(draws, fixed[0]):
-        raise ValueError(f"{path}: the value of each fixed (observed) cell must be the "
-                         "same, bit for bit, in every draw")
+    X = _load_array(directory, "training_inputs.npy", float, (None, None))
+    n, p = X.shape[0], arch.n_latent
+    y = _load_array(directory, "training_outputs.npy", float, (n,))
+    draws = _load_array(directory, "imputations.npy", float, (None, n, p))
+    mask = _load_array(directory, "latent_mask.npy", bool, (n, p))
+    if not _fixed_cells_agree(draws, mask):
+        raise ValueError(f"{os.path.join(directory, 'imputations.npy')}: the value of each "
+                         "fixed (observed) cell must be the same, bit for bit, in every draw")
     return DGPSIEmulator(
-        architecture=arch, first_hyper=first_hyper, second_hyper=second_hyper,
-        draws=draws, latent_mask=fixed[0],
+        architecture=arch, first_hyper=[_saved_hyper(e) for e in manifest["first_layer"]],
+        second_hyper=_saved_hyper(manifest["second_layer"]), draws=draws, latent_mask=mask,
         rng_seed=manifest.get("rng_seed"), train_X=X, train_y=y,
     )

@@ -211,7 +211,7 @@ class _PreparedSEObjective:
             return np.inf, np.zeros_like(theta)
         nll = 0.5 * self.n * np.log(quad / self.n) + float(np.log(L.diagonal()).sum())
         if self.best is None or nll < self.best[0]:
-            corr = CorrelationMatrix(values=R, chol=L, jitter_applied=jitter)
+            corr = CorrelationMatrix(chol=L, jitter_applied=jitter)
             self.best = (nll, theta.copy(), corr, alpha, quad)
         W = chol_inverse(L)
         aa = np.multiply.outer(alpha, alpha)
@@ -434,7 +434,8 @@ def refit_gp(model_X, model_y, init: GPHyperparams, max_iter: int = 50,
     ``hess_inv0``, the ``hess_inv`` of an earlier fit of the same node, starts the
     optimizer from that fit's curvature."""
     training = _single_output(model_X, model_y)
-    t0 = np.concatenate([np.log(init.kernel.lengthscales), [np.log(max(init.nugget, NUGGET_FLOOR))]])
+    t0 = np.concatenate([np.log(init.kernel.lengthscales),
+                         [np.log(np.clip(init.nugget, *config.nugget_bounds))]])
     lo, hi = _log_bounds(training.X, config)
     objective = _PreparedSEObjective(training.X, training.y)
     res = minimize(objective, t0, lo, hi, max_iter, hess_inv0)

@@ -105,19 +105,11 @@ def cross_correlation(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndar
 
 @dataclass
 class CorrelationMatrix:
-    """Symmetric correlation matrix with nugget and a cached Cholesky factor.
+    """A correlation matrix R = K + nugget * I, kept as its lower Cholesky factor
+    ``chol``, of R + jitter_applied * I; R itself is not kept."""
 
-    ``values`` holds the un-jittered matrix; the factor is of
-    ``values + jitter_applied * I``.
-    """
-
-    values: np.ndarray
     chol: np.ndarray = field(repr=False)
     jitter_applied: float = 0.0
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return chol_solve(self.chol, b)
@@ -206,7 +198,7 @@ def build_correlation(spec: KernelSpec, nugget: float, X: np.ndarray) -> Correla
         raise ValueError("correlation inputs are not finite")
     R = _correlation_values(scaled_sq_dist(spec, X, X), nugget)
     L, jitter = _cholesky_with_jitter(R)
-    return CorrelationMatrix(values=R, chol=L, jitter_applied=jitter)
+    return CorrelationMatrix(chol=L, jitter_applied=jitter)
 
 
 def expect_k(spec: KernelSpec, m, v, w) -> np.ndarray | float:

@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -24,7 +24,6 @@ from gpimpute.dgp import (
     train_sem,
 )
 from gpimpute.gp import (
-    NUGGET_FLOOR,
     FitConfig,
     GPHyperparams,
     PredictiveGaussian,
@@ -368,7 +367,7 @@ class TestTrainSEM:
                 assert hess_inv0 is calls[k - nodes][6].hess_inv
             lo, hi = _log_bounds(X, config)
             t0 = np.clip(np.append(np.log(init.kernel.lengthscales),
-                                   np.log(max(init.nugget, NUGGET_FLOOR))), lo, hi)
+                                   np.log(np.clip(init.nugget, *config.nugget_bounds))), lo, hi)
             oracle = lbfgsb(X, y, t0, lo, hi, max_iter)
             theta = np.append(np.log(model.hyper.kernel.lengthscales), np.log(model.hyper.nugget))
             nll = _PreparedSEObjective(X, y)(theta)[0]
@@ -529,152 +528,215 @@ class TestTrainSEM:
                 assert pred.components[s].variance == pytest.approx(variances[t], rel=0, abs=1e-10)
 
 
+class TestFrozenEmulator:
+    """An emulator's layers are built from its fields once, so the fields and
+    arrays cannot change after construction."""
+
+    def test_field_assignment_refused(self):
+        em = train_sem(masked_window(seed=10), small_arch(), FAST_SEM, 3)
+        with pytest.raises(FrozenInstanceError):
+            em.train_y = 2.0 * em.train_y
+        with pytest.raises(FrozenInstanceError):
+            em.second_hyper = em.first_hyper[0]
+
+    @pytest.mark.parametrize("name", ["draws", "latent_mask", "train_X", "train_y"])
+    def test_arrays_are_read_only_copies(self, name):
+        em = train_sem(masked_window(seed=10), small_arch(), FAST_SEM, 3)
+        values = getattr(em, name)
+        with pytest.raises(ValueError, match="read-only"):
+            values[(0,) * values.ndim] = 1  # em.draws[0, 0, 0] = 1 for the draws
+        held = np.array(values)  # an array its caller goes on writing to
+        copy = replace(em, **{name: held})
+        held[...] = 0
+        assert getattr(copy, name).tobytes() == values.tobytes()
+
+    def test_replace_predicts_from_the_new_values(self):
+        em = train_sem(masked_window(seed=10), small_arch(), FAST_SEM, 3)
+        before = predict_ensemble(em, [0.4])
+        doubled = predict_ensemble(replace(em, train_y=2.0 * em.train_y), [0.4])
+        # alpha = R^-1 y, and so each component's mean, doubles exactly
+        assert [c.mean for c in doubled.components] == [2.0 * c.mean for c in before.components]
+        assert predict_ensemble(em, [0.4]) == before
+
+
+def edge_draws(em):
+    """Draws of em's shape cycling through EDGE_VALUES, each fixed (observed)
+    cell holding one value in every draw."""
+    k = np.arange(em.draws.size).reshape(em.draws.shape)
+    k[:, em.latent_mask] = k[0, em.latent_mask]
+    return EDGE_VALUES[k % EDGE_VALUES.size]
+
+
+SAVED_FILES = ["imputations.npy", "latent_mask.npy", "manifest.json", "training_inputs.npy",
+               "training_outputs.npy"]
+
+
 class TestPersistence:
+    @staticmethod
+    def saved(tmp_path, em=None):
+        if em is None:
+            em = train_sem(masked_window(seed=11), small_arch(), FAST_SEM, 4)
+        save_emulator(em, str(tmp_path / "em"))
+        return em, tmp_path / "em"
+
     def test_round_trip(self, tmp_path):
         table = masked_window(seed=11)
-        em = train_sem(table, small_arch(), FAST_SEM, 4)
-        save_emulator(em, str(tmp_path / "em"))
-        lines = (tmp_path / "em" / "imputations.csv").read_text().splitlines()
-        assert lines[0] == "draw,row,col,value,fixed"
-        saved = json.loads((tmp_path / "em" / "manifest.json").read_text())
-        assert saved == json.loads(json.dumps(em.manifest()))
-        assert "architecture" not in saved
-        back = load_emulator(str(tmp_path / "em"))
+        em, path = self.saved(tmp_path, train_sem(table, small_arch(), FAST_SEM, 4))
+        assert sorted(p.name for p in path.iterdir()) == SAVED_FILES
+        text = (path / "manifest.json").read_text()
+        assert text == json.dumps(em.manifest(), indent=2, sort_keys=True)
+        assert "architecture" not in json.loads(text)
+        back = load_emulator(str(path))
         assert back.manifest() == em.manifest()
         assert back.architecture == em.architecture
-        assert sorted({int(line.split(",")[0]) for line in lines[1:]}) == \
-            list(range(FAST_SEM.n_imputations))
         latent = [table.col_index(c) for c in small_arch().latent_nodes]
         assert np.array_equal(em.latent_mask, table.mask[:, latent])
-        assert np.array_equal(back.draws, em.draws)
-        assert np.array_equal(back.latent_mask, em.latent_mask)
+        for name in ("draws", "latent_mask", "train_X", "train_y"):
+            got, want = getattr(back, name), getattr(em, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         for x0 in ([0.2], [0.7]):
-            a = predict_ensemble(em, x0)
-            b = predict_ensemble(back, x0)
-            assert a.mixture.mean == pytest.approx(b.mixture.mean, rel=1e-12)
-            assert a.mixture.variance == pytest.approx(b.mixture.variance, rel=1e-10, abs=1e-14)
+            assert predict_ensemble(back, x0) == predict_ensemble(em, x0)
+        assert impute_covariates(back, [0.1, 0.5], "sid") == \
+            impute_covariates(em, [0.1, 0.5], "sid")
 
-    @pytest.mark.parametrize("damage", ["truncated", "duplicated-line", "fixed-differs",
-                                        "fixed-value-differs"])
+    @pytest.mark.parametrize("damage", ["truncated", "fixed-value-differs"])
     def test_incomplete_imputations_refused(self, tmp_path, damage):
-        em = train_sem(masked_window(seed=11), small_arch(), FAST_SEM, 4)
-        save_emulator(em, str(tmp_path / "em"))
-        path = tmp_path / "em" / "imputations.csv"
-        lines = path.read_text().splitlines(keepends=True)
-        if damage == "truncated":
-            lines = lines[:-40]
-        elif damage == "duplicated-line":
-            lines = lines + lines[-1:]
-        elif damage == "fixed-differs":  # the last draw alone marks its last cell the other way
-            head, flag = lines[-1].rstrip("\n").rsplit(",", 1)
-            lines[-1] = f"{head},{1 - int(flag)}\n"
+        em, path = self.saved(tmp_path)
+        draws = np.load(path / "imputations.npy")
+        if damage == "truncated":  # each draw lost its last row
+            draws = draws[:, :-1]
         else:  # draw 3 alone holds another value in its first observed cell
-            i = next(i for i, line in enumerate(lines)
-                     if line.startswith("3,") and line.endswith(",1\n"))
-            draw, row, col, _, _ = lines[i].split(",")
-            lines[i] = f"{draw},{row},{col},123.0,1\n"
-        path.write_text("".join(lines))
-        with pytest.raises(ValueError, match="imputations.csv"):
-            load_emulator(str(tmp_path / "em"))
+            r, c = np.argwhere(em.latent_mask)[0]
+            draws[3, r, c] = 123.0
+        np.save(path / "imputations.npy", draws)
+        with pytest.raises(ValueError, match="imputations.npy"):
+            load_emulator(str(path))
 
     def test_training_outputs_of_other_length_refused(self, tmp_path):
-        em = train_sem(masked_window(seed=11), small_arch(), FAST_SEM, 4)
-        save_emulator(em, str(tmp_path / "em"))
-        path = tmp_path / "em" / "training_outputs.csv"
-        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
-        with pytest.raises(ValueError, match="training_outputs.csv"):
-            load_emulator(str(tmp_path / "em"))
+        em, path = self.saved(tmp_path)
+        np.save(path / "training_outputs.npy", em.train_y[:-1])
+        with pytest.raises(ValueError, match="training_outputs.npy"):
+            load_emulator(str(path))
+
+    @pytest.mark.parametrize("name, change", [
+        ("training_inputs.npy", lambda a: a.astype(np.float32)),
+        ("training_inputs.npy", lambda a: a.astype(object)),
+        ("training_outputs.npy", lambda a: np.round(a).astype(np.int64)),
+        ("imputations.npy", lambda a: a.astype(np.float32)),
+        ("latent_mask.npy", lambda a: a.astype(float)),
+        ("training_inputs.npy", lambda a: a.ravel()),
+        ("training_outputs.npy", lambda a: a[:, None]),
+        ("imputations.npy", lambda a: a[0]),
+        ("imputations.npy", lambda a: a[:, :, :-1]),
+        ("latent_mask.npy", lambda a: a[:-1]),
+        ("latent_mask.npy", lambda a: a[:, :-1]),
+    ], ids=["inputs-float32", "inputs-object", "outputs-int64", "imputations-float32",
+            "mask-float", "inputs-1d", "outputs-2d", "imputations-2d", "imputations-p-1",
+            "mask-n-1", "mask-p-1"])
+    def test_array_of_other_dtype_or_shape_refused(self, tmp_path, name, change):
+        _, path = self.saved(tmp_path)
+        np.save(path / name, change(np.load(path / name)))
+        with pytest.raises(ValueError, match=re.escape(str(path / name))):
+            load_emulator(str(path))
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "text"])
+    def test_unreadable_array_refused(self, tmp_path, damage):
+        _, path = self.saved(tmp_path)
+        name = path / "imputations.npy"
+        data = name.read_bytes()
+        name.write_bytes({"truncated": data[:-100], "empty": b"",
+                          "text": b"0,0,0,0.5,1\n"}[damage])
+        with pytest.raises(ValueError, match=re.escape(str(name))):
+            load_emulator(str(path))
 
     def test_imputations_format_pinned_and_round_trips_bitwise(self, tmp_path):
-        """imputations.csv is the bytes numpy's savetxt writes for the same cells,
-        and edge values (negative zero, the smallest subnormal, near-overflow,
-        inexact decimals) load back bitwise."""
+        """imputations.npy is the bytes np.save writes for the draws, and edge
+        values (negative zero, the smallest subnormal, near-overflow, inexact
+        decimals) load back bitwise."""
         em = train_sem(masked_window(seed=11), small_arch(), FAST_SEM, 4)
-        edges = np.array([-0.0, 5e-324, 1e308, 0.1, -1.5e-7])
-        k = np.arange(em.draws.size).reshape(em.draws.shape)
-        k[:, em.latent_mask] = k[0, em.latent_mask]  # observed cells equal in every draw
-        em.draws = edges[k % edges.size]
-        save_emulator(em, str(tmp_path / "em"))
-        fixed = np.broadcast_to(em.latent_mask, em.draws.shape)
-        draw, row, col = np.indices(em.draws.shape).reshape(3, -1)
-        np.savetxt(tmp_path / "reference.csv",
-                   np.column_stack([draw, row, col, em.draws.ravel(), fixed.ravel()]),
-                   fmt=["%d", "%d", "%d", "%.17g", "%d"], delimiter=",",
-                   header="draw,row,col,value,fixed", comments="")
-        saved = (tmp_path / "em" / "imputations.csv").read_bytes()
-        assert saved == (tmp_path / "reference.csv").read_bytes()
-        back = load_emulator(str(tmp_path / "em"))
+        em, path = self.saved(tmp_path, replace(em, draws=edge_draws(em)))
+        np.save(tmp_path / "reference.npy", em.draws)
+        assert (path / "imputations.npy").read_bytes() == \
+            (tmp_path / "reference.npy").read_bytes()
+        back = load_emulator(str(path))
         assert back.draws.tobytes() == em.draws.tobytes()
         assert np.array_equal(back.latent_mask, em.latent_mask)
 
     @pytest.mark.parametrize("case", ["fully-observed", "one-draw"])
     def test_imputations_format_pinned_when_all_fixed_or_one_draw(self, tmp_path, case):
-        if case == "fully-observed":  # every cell fixed, so no cell is formatted per draw
+        if case == "fully-observed":
             em = train_sem(make_window(seed=12), small_arch(), FAST_SEM, 5)
             assert em.latent_mask.all()
         else:
             em = train_sem(masked_window(seed=11), small_arch(),
                            replace(FAST_SEM, n_imputations=1), 4)
-        k = np.arange(em.draws.size).reshape(em.draws.shape)
-        k[:, em.latent_mask] = k[0, em.latent_mask]
-        em.draws = EDGE_VALUES[k % EDGE_VALUES.size]
-        save_emulator(em, str(tmp_path / "em"))
-        fixed = np.broadcast_to(em.latent_mask, em.draws.shape)
-        draw, row, col = np.indices(em.draws.shape).reshape(3, -1)
-        np.savetxt(tmp_path / "reference.csv",
-                   np.column_stack([draw, row, col, em.draws.ravel(), fixed.ravel()]),
-                   fmt=["%d", "%d", "%d", "%.17g", "%d"], delimiter=",",
-                   header="draw,row,col,value,fixed", comments="")
-        saved = (tmp_path / "em" / "imputations.csv").read_bytes()
-        assert saved == (tmp_path / "reference.csv").read_bytes()
-        assert load_emulator(str(tmp_path / "em")).draws.tobytes() == em.draws.tobytes()
+        em, path = self.saved(tmp_path, replace(em, draws=edge_draws(em)))
+        for name, values in (("imputations.npy", em.draws), ("latent_mask.npy", em.latent_mask)):
+            np.save(tmp_path / name, values)
+            assert (path / name).read_bytes() == (tmp_path / name).read_bytes()
+        back = load_emulator(str(path))
+        assert back.draws.tobytes() == em.draws.tobytes()
+        assert np.array_equal(back.latent_mask, em.latent_mask)
 
-    def test_training_csvs_are_savetxt_bytes(self, tmp_path):
+    def test_training_arrays_round_trip_bitwise(self, tmp_path):
         em = train_sem(masked_window(seed=11), small_arch(), FAST_SEM, 4)
-        em.train_X = np.column_stack([EDGE_VALUES, EDGE_VALUES[::-1]])  # two input columns
-        em.train_y = EDGE_VALUES
-        save_emulator(em, str(tmp_path / "em"))
-        for name, values in (("training_inputs.csv", em.train_X),
-                             ("training_outputs.csv", em.train_y)):
-            np.savetxt(tmp_path / name, values, delimiter=",")
-            assert (tmp_path / "em" / name).read_bytes() == (tmp_path / name).read_bytes()
+        edges = EDGE_VALUES[np.arange(len(em.train_y)) % EDGE_VALUES.size]
+        # lengthscales so long that no scaled distance between edge values overflows
+        two_inputs = [replace(h, kernel=se_spec(1e300, 1e300)) for h in em.first_hyper]
+        em, path = self.saved(tmp_path, replace(
+            em, first_hyper=two_inputs, train_X=np.column_stack([edges, edges[::-1]]),
+            train_y=edges))
+        back = load_emulator(str(path))
+        assert back.train_X.shape == (len(edges), 2)
+        assert back.train_X.tobytes() == em.train_X.tobytes()
+        assert back.train_y.tobytes() == em.train_y.tobytes()
 
     def test_fixed_cell_of_other_sign_refused(self, tmp_path):
-        # 0.0 == -0.0, but a file must hold one text for a fixed cell in every draw
+        # 0.0 == -0.0, but a fixed cell must hold the same bits in every draw
         em = train_sem(masked_window(seed=11), small_arch(), FAST_SEM, 4)
         r, c = np.argwhere(em.latent_mask)[0]
-        em.draws[:, r, c] = 0.0
-        save_emulator(em, str(tmp_path / "em"))
-        em.draws[2, r, c] = -0.0
+        draws = np.array(em.draws)
+        draws[:, r, c] = 0.0
+        _, path = self.saved(tmp_path, replace(em, draws=draws))
+        draws[2, r, c] = -0.0
         with pytest.raises(ValueError, match="fixed"):
-            save_emulator(em, str(tmp_path / "other"))
-        path = tmp_path / "em" / "imputations.csv"
-        text = path.read_text()
-        assert f"\n2,{r},{c},0,1\n" in text
-        path.write_text(text.replace(f"\n2,{r},{c},0,1\n", f"\n2,{r},{c},-0,1\n"))
-        with pytest.raises(ValueError, match="imputations.csv.*fixed"):
-            load_emulator(str(tmp_path / "em"))
+            save_emulator(replace(em, draws=draws), str(tmp_path / "other"))
+        np.save(path / "imputations.npy", draws)
+        with pytest.raises(ValueError, match="imputations.npy.*fixed"):
+            load_emulator(str(path))
 
     @pytest.mark.parametrize("name, fixed, bad", [
-        ("training_outputs.csv", None, "nan"),
-        ("training_inputs.csv", None, "inf"),
-        ("imputations.csv", 0, "nan"),
-        ("imputations.csv", 1, "nan"),
+        ("training_outputs.npy", None, np.nan),
+        ("training_inputs.npy", None, np.inf),
+        ("imputations.npy", False, np.nan),
+        ("imputations.npy", True, np.nan),
     ], ids=["output-nan", "input-inf", "free-cell-nan", "fixed-cell-nan"])
     def test_non_finite_value_refused_by_file(self, tmp_path, name, fixed, bad):
-        em = train_sem(masked_window(seed=11), small_arch(), FAST_SEM, 4)
-        save_emulator(em, str(tmp_path / "em"))
-        path = tmp_path / "em" / name
-        lines = path.read_text().splitlines(keepends=True)
-        if fixed is None:  # the first value of the last line
-            lines[-1] = re.sub(r"^[^,\n]+", bad, lines[-1])
-        else:  # the value of the first cell with this fixed flag, in every draw
-            cell = next(line.split(",")[1:3] for line in lines if line.endswith(f",{fixed}\n"))
-            lines = [re.sub(r"[^,]+(?=,[01]\n)", bad, line) if line.split(",")[1:3] == cell
-                     else line for line in lines]
-        path.write_text("".join(lines))
+        em, path = self.saved(tmp_path)
+        values = np.load(path / name)
+        if fixed is None:  # the last value
+            values.flat[-1] = bad
+        else:  # the first cell with this fixed flag, in every draw
+            r, c = np.argwhere(em.latent_mask == fixed)[0]
+            values[:, r, c] = bad
+        np.save(path / name, values)
         with pytest.raises(ValueError, match=f"{name}: holds a non-finite value"):
-            load_emulator(str(tmp_path / "em"))
+            load_emulator(str(path))
+
+    def test_older_csv_layout_refused(self, tmp_path):
+        # a directory saved before the arrays were .npy files: its manifest
+        # still parses, but no array is read from its CSV files
+        em, path = self.saved(tmp_path)
+        for name in SAVED_FILES:
+            if name.endswith(".npy"):
+                (path / name).unlink()
+        np.savetxt(path / "training_inputs.csv", em.train_X, delimiter=",")
+        np.savetxt(path / "training_outputs.csv", em.train_y, delimiter=",")
+        cells = [f"{s},{r},{c},{em.draws[s, r, c]!r},{int(em.latent_mask[r, c])}\n"
+                 for s, r, c in np.ndindex(em.draws.shape)]
+        (path / "imputations.csv").write_text("".join(["draw,row,col,value,fixed\n"] + cells))
+        with pytest.raises(FileNotFoundError, match="training_inputs.npy"):
+            load_emulator(str(path))
 
     @staticmethod
     def legacy_save(tmp_path, first_family="squared_exponential",

@@ -152,6 +152,28 @@ class TestFit:
         assert 0.5 * (1 - 1e-12) <= model.hyper.kernel.lengthscales[0] <= 0.6 * (1 + 1e-12)
         assert 1e-3 * (1 - 1e-12) <= model.hyper.nugget <= 1e-2 * (1 + 1e-12)
 
+    @pytest.mark.parametrize("bounds, nugget, start", [
+        ((1e-12, 1.0), 1e-10, 1e-10),
+        ((1e-12, 1.0), 1e-14, 1e-12),
+        ((1e-8, 1.0), 1e-10, 1e-8),
+        ((1e-8, 1e-2), 0.5, 1e-2),
+    ], ids=["inside-box-below-default-floor", "below-box", "below-default-box", "above-box"])
+    def test_refit_starts_from_nugget_clipped_into_config_bounds(self, monkeypatch, bounds,
+                                                                 nugget, start):
+        starts = []
+        real = gp.minimize
+
+        def spy(objective, x0, *args):
+            starts.append(np.array(x0))
+            return real(objective, x0, *args)
+
+        monkeypatch.setattr(gp, "minimize", spy)
+        X = np.linspace(0, 1, 12)[:, None]
+        refit_gp(X, np.sin(5.0 * X[:, 0]), se_hyper(0.3, 1.0, nugget), max_iter=3,
+                 config=FitConfig(nugget_bounds=bounds))
+        assert len(starts) == 1
+        assert starts[0].tolist() == [np.log(0.3), np.log(start)]
+
     @pytest.mark.parametrize("low", [1e-300, 1e-17, np.finfo(float).eps / 2])
     def test_nugget_floor_below_double_spacing_refused(self, low):
         # below the spacing of doubles at 1, 1 + nugget can round to 1: no
@@ -208,7 +230,12 @@ class TestOptimizer:
         model = refit_gp(X, y1, first.hyper, hess_inv0=first.hess_inv)
         ref = make_fitted_gp(X, y1, model.hyper)
         assert model.hyper.scale == pytest.approx(y1 @ ref.alpha / 40, rel=1e-10)
-        np.testing.assert_allclose(model.corr.values, ref.corr.values, rtol=0, atol=1e-14)
+        # both factors are of R at the refit's hyperparameters
+        R = kernels._correlation_values(
+            kernels.scaled_sq_dist(model.hyper.kernel, X, X), model.hyper.nugget)
+        for fitted in (model, ref):
+            L = fitted.corr.chol
+            np.testing.assert_allclose(L @ L.T, R, rtol=0, atol=1e-14)
         np.testing.assert_allclose(model.alpha, ref.alpha, rtol=1e-8)
         X0 = np.random.default_rng(6).uniform(0, 1, (5, 3))
         for got, want in zip(predict_batch(model, X0), predict_batch(ref, X0)):
@@ -404,7 +431,8 @@ class TestLogMarginalLikelihood:
         y = rng.standard_normal(12)
         hyper = se_hyper(0.3, 1.7, 0.04)
         got = log_marginal_likelihood(X, y, hyper)
-        cov = hyper.scale * build_correlation(hyper.kernel, hyper.nugget, X).values
+        cov = hyper.scale * kernels._correlation_values(
+            kernels.scaled_sq_dist(hyper.kernel, X, X), hyper.nugget)
         sign, logdet = np.linalg.slogdet(cov)
         dense = -0.5 * (len(y) * np.log(2 * np.pi) + logdet + y @ np.linalg.inv(cov) @ y)
         assert got == pytest.approx(dense, abs=1e-8)

@@ -25,6 +25,13 @@ def se(*lengthscales):
     return KernelSpec(np.array(lengthscales, dtype=float))
 
 
+def correlation_values(spec, nugget, X):
+    """R = K + nugget * I as build_correlation forms it before factoring, which
+    it does not keep."""
+    X = np.asarray(X, dtype=float)
+    return kernels._correlation_values(kernels.scaled_sq_dist(spec, X, X), nugget)
+
+
 class TestKernelValue:
     def test_zero_distance_is_one(self):
         assert kernel_value(se(1.0), [0.3], [0.3]) == 1.0
@@ -68,29 +75,31 @@ class TestKernelValue:
 
 class TestBuildCorrelation:
     def test_single_point(self):
+        assert np.allclose(correlation_values(se(1.0), 0.1, [[0.5]]), [[1.1]])
         corr = build_correlation(se(1.0), 0.1, [[0.5]])
-        assert np.allclose(corr.values, [[1.1]])
+        assert np.allclose(corr.chol, [[np.sqrt(1.1)]])
 
     def test_duplicate_rows_nugget_on_diagonal_only(self):
         # K + nugget * I: identical rows correlate at exactly 1, and the nugget on
         # the diagonal keeps R positive definite, so it factors with no jitter
         X = np.array([[0.3], [0.3], [1.0]])
-        corr = build_correlation(se(1.0), 0.2, X)
-        assert corr.values[0, 1] == 1.0
-        assert corr.values[0, 0] == corr.values[1, 1] == corr.values[2, 2] == 1.2
-        assert corr.values[0, 2] == pytest.approx(kernel_value(se(1.0), [0.3], [1.0]))
+        R = correlation_values(se(1.0), 0.2, X)
+        assert R[0, 1] == 1.0
+        assert R[0, 0] == R[1, 1] == R[2, 2] == 1.2
+        assert R[0, 2] == pytest.approx(kernel_value(se(1.0), [0.3], [1.0]))
         # D = 3, rows 0 and 3 identical
         X3 = np.array([[0.1, 0.5, -0.2], [0.1, 0.5, 0.7], [0.4, -1.0, 0.3], [0.1, 0.5, -0.2]])
         spec3 = se(0.6, 1.1, 0.9)
-        corr3 = build_correlation(spec3, 0.2, X3)
+        R3 = correlation_values(spec3, 0.2, X3)
         for i in range(4):
             for j in range(4):
                 expected = kernel_value(spec3, X3[i], X3[j]) + (0.2 if i == j else 0.0)
-                assert corr3.values[i, j] == pytest.approx(expected, rel=1e-14)
-        assert corr3.values[0, 3] == 1.0
-        for c in (corr, corr3):
+                assert R3[i, j] == pytest.approx(expected, rel=1e-14)
+        assert R3[0, 3] == 1.0
+        for c, values in ((build_correlation(se(1.0), 0.2, X), R),
+                          (build_correlation(spec3, 0.2, X3), R3)):
             assert c.jitter_applied == 0
-            assert np.allclose(c.chol @ c.chol.T, c.values, rtol=0, atol=1e-14)
+            assert np.allclose(c.chol @ c.chol.T, values, rtol=0, atol=1e-14)
 
     def test_rank_one_duplicate_no_nugget_jitter(self):
         # two identical rows, eta=0: exactly singular; jitter policy repairs and records
@@ -106,26 +115,26 @@ class TestBuildCorrelation:
              se(0.7, 1.3, 0.4)),
         ]
         for X, spec in cases:
-            corr = build_correlation(spec, eta, X)
+            R = correlation_values(spec, eta, X)
             for i in range(len(X)):
                 for j in range(len(X)):
                     expected = kernel_value(spec, X[i], X[j]) + (eta if i == j else 0)
-                    assert abs(corr.values[i, j] - expected) <= 1e-15
+                    assert abs(R[i, j] - expected) <= 1e-15
 
     def test_cholesky_reconstruction(self):
         rng = np.random.default_rng(0)
         X = rng.uniform(0, 1, (40, 2))
         corr = build_correlation(se(0.3, 0.5), 1e-6, X)
         R_hat = corr.chol @ corr.chol.T
-        target = corr.values + corr.jitter_applied * np.eye(40)
+        target = correlation_values(se(0.3, 0.5), 1e-6, X) + corr.jitter_applied * np.eye(40)
         rel = np.linalg.norm(R_hat - target) / np.linalg.norm(target)
         assert rel <= 1e-8
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
         X = rng.uniform(-2, 2, (25, 3))
-        corr = build_correlation(se(1.0, 1.0, 1.0), 0.01, X)
-        assert np.array_equal(corr.values, corr.values.T)
+        R = correlation_values(se(1.0, 1.0, 1.0), 0.01, X)
+        assert np.array_equal(R, R.T)
 
     def test_singular_error_names_jitter(self):
         # an indefinite matrix cannot be repaired; error names the jitter ceiling
@@ -147,7 +156,7 @@ class TestCholeskyFactor:
     @staticmethod
     def correlation(n):
         X = np.random.default_rng(n).uniform(0, 1, (n, 1))
-        return build_correlation(se(0.3), 1e-3, X).values
+        return correlation_values(se(0.3), 1e-3, X)
 
     @pytest.mark.parametrize("n", [40, 115])
     def test_matches_numpy_with_zero_upper_triangle(self, n):
@@ -161,7 +170,7 @@ class TestCholeskyFactor:
 
     def test_jittered_rung(self):
         # two identical rows without nugget: singular at 0, factored on a rung
-        R = build_correlation(se(1.0), 0.0, [[0.3], [0.3], [0.9], [0.1]]).values
+        R = correlation_values(se(1.0), 0.0, [[0.3], [0.3], [0.9], [0.1]])
         L, jitter = _cholesky_with_jitter(R)
         assert JITTER_START <= jitter <= JITTER_MAX
         assert np.all(np.triu(L, 1) == 0)
