@@ -34,6 +34,7 @@ from .kernels import (
     SingularMatrixError,
     _cholesky_with_jitter,
     _correlation_values,
+    _sq_diffs,
     build_correlation,
     chol_inverse,
     chol_solve,
@@ -153,7 +154,12 @@ class _ColumnPrior:
 
 class LatentState:
     """Working state of the SEM sampler: data, current hyperparameters, and the
-    current latent matrix with observed entries pinned."""
+    current latent matrix with observed entries pinned.
+
+    Between proposals it keeps the likelihood of the current latents and each
+    latent column's term of the second layer's squared distances, so a proposal,
+    which changes one column, recomputes that column's term only. Both are
+    dropped with the hyperparameters."""
 
     def __init__(
         self,
@@ -175,6 +181,7 @@ class LatentState:
         self.w[self.latent_mask] = self.latent_obs[self.latent_mask]
         self._priors: list[_ColumnPrior | None] = [None] * self.n_latent
         self._loglik: float | None = None  # output_loglik(self.w), once a sweep has run
+        self._d2_terms: list[np.ndarray] | None = None  # _d2_term(p, self.w[:, p]) per p
         self._rebuild_priors()
 
     @property
@@ -182,9 +189,10 @@ class LatentState:
         return self.latent_mask.shape[1]
 
     def set_hyperparams(self, first_hyper, second_hyper):
+        self._loglik = None
+        self._d2_terms = None
         self.first_hyper = list(first_hyper)
         self.second_hyper = second_hyper
-        self._loglik = None
         self._rebuild_priors()
 
     def _rebuild_priors(self):
@@ -212,38 +220,58 @@ class LatentState:
             L, _ = _cholesky_with_jitter(cond)
             self._priors[p] = _ColumnPrior(missing=miss, mean=mean, chol=L)
 
-    def output_loglik(self, w_full: np.ndarray) -> float:
+    def output_loglik(self, w_full: np.ndarray, d2: np.ndarray | None = None) -> float:
         """Zero-mean Gaussian log density of y under the second-layer GP at latents
         w, with R from :func:`build_correlation` as the refit objective and
-        prediction build it; -inf where R cannot be factored."""
+        prediction build it; -inf where R cannot be factored. ``d2``, when given,
+        is the second layer's ``scaled_sq_dist`` of w, and is overwritten."""
         hyper = self.second_hyper
         try:
-            corr = build_correlation(hyper.kernel, hyper.nugget, w_full)
+            corr = build_correlation(hyper.kernel, hyper.nugget, w_full, d2)
         except SingularMatrixError:
             return -np.inf
         return _gaussian_logpdf(self.y, corr.chol, hyper.scale)
 
+    def _d2_term(self, p: int, column: np.ndarray) -> np.ndarray:
+        """Latent column p's term of the second layer's squared distances, (N, N)."""
+        a = column / self.second_hyper.kernel.lengthscales[p]
+        return _sq_diffs(a, a)
+
+    def _d2_with(self, p: int, term: np.ndarray) -> np.ndarray:
+        """The second layer's squared distances with column p's term replaced: a
+        new array, the terms added in column order as ``scaled_sq_dist`` adds
+        them, so bitwise what it returns."""
+        terms = self._d2_terms[:p] + [term] + self._d2_terms[p + 1:]
+        d2 = terms[0] + terms[1] if len(terms) > 1 else terms[0].copy()
+        for t in terms[2:]:
+            d2 += t
+        return d2
+
     def sweep(self, rng: np.random.Generator):
         """One ESS update of the missing entries of each latent column."""
+        if self._d2_terms is None:
+            self._d2_terms = [self._d2_term(p, self.w[:, p]) for p in range(self.n_latent)]
         for p in range(self.n_latent):
             prior = self._priors[p]
             if prior is None:
                 continue
             w_work = self.w.copy()
-            last = None
+            last = last_term = None
 
             def loglik(free):
-                nonlocal last
+                nonlocal last, last_term
                 w_work[prior.missing, p] = free
-                last = self.output_loglik(w_work)
+                last_term = self._d2_term(p, w_work[:, p])
+                last = self.output_loglik(w_work, self._d2_with(p, last_term))
                 return last
 
             new = ess_update(prior.mean, prior.chol, self.w[prior.missing, p], loglik, rng,
                              current_loglik=self._loglik)
-            # ess_update returns right after the accepting call, so `last` is the
-            # likelihood of w_work, which is now self.w exactly
+            # ess_update returns right after the accepting call, so `last` and
+            # `last_term` belong to w_work, which is now self.w exactly
             self.w[prior.missing, p] = new
             self._loglik = last
+            self._d2_terms[p] = last_term
 
 
 def impute_latents(state: LatentState, rng: np.random.Generator, sweeps: int = 1) -> np.ndarray:
@@ -259,12 +287,13 @@ class DGPSIEmulator:
     first-layer hyperparameters, so each latent node has one GP whose column s
     is draw s; the second layer keeps alpha and R^-1 per distinct draw.
 
-    Frozen, and its arrays are read-only copies, so the layers built from them
-    cannot go stale: :func:`dataclasses.replace` makes an emulator from new values.
+    Frozen, with read-only copies of its arrays and lengthscales and a tuple of
+    first-layer hyperparameters, so the layers built from them cannot go stale:
+    :func:`dataclasses.replace` makes an emulator from new values.
     """
 
     architecture: LayerArchitecture
-    first_hyper: list[GPHyperparams]
+    first_hyper: tuple[GPHyperparams, ...]
     second_hyper: GPHyperparams
     draws: np.ndarray = field(repr=False)  # (S, N, P) latent imputations
     latent_mask: np.ndarray = field(repr=False)  # (N, P) bool, True where the latent is data
@@ -274,6 +303,7 @@ class DGPSIEmulator:
     first_layer: list[FittedGP] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "first_hyper", tuple(self.first_hyper))
         for name, dtype in (("draws", float), ("latent_mask", bool), ("train_X", float),
                             ("train_y", float)):
             values = np.array(getattr(self, name), dtype=dtype)
@@ -520,6 +550,9 @@ def _load_array(directory: str, name: str, dtype, shape: tuple) -> np.ndarray:
         values = np.load(path, allow_pickle=False)
     except (ValueError, EOFError) as exc:  # not an .npy array, or an object array
         raise ValueError(f"{path}: {exc}") from exc
+    if not isinstance(values, np.ndarray):  # np.load opens a zip archive as an NpzFile
+        values.close()
+        raise ValueError(f"{path}: not an .npy array")
     if values.dtype != dtype or values.ndim != len(shape) or any(
             w not in (None, g) for w, g in zip(shape, values.shape)):
         raise ValueError(f"{path}: {values.dtype} array of shape {values.shape}, expected "

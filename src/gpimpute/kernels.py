@@ -9,13 +9,18 @@ moments below are closed-form for it. Convention:
 i.e. no factor of 2 in the denominator. Every kernel matrix comes from one
 distance, :func:`scaled_sq_dist`, and every correlation matrix K + nugget * I
 (ESS likelihood, fitted GPs, the likelihood objective in ``gp``, SEM priors)
-from :func:`_correlation_values`. Every Cholesky factor comes from
-:func:`_cholesky_with_jitter` and every solve against one from :func:`chol_solve`;
-both call LAPACK (``dpotrf``/``dpotrs``) directly, because the numpy and scipy
-wrappers cost more per call than the routine at the sizes SEM factors many
-thousands of times. :func:`chol_solve` and :func:`chol_inverse` split their work
-into calls small enough that OpenBLAS runs them on the calling thread (see
-``SERIAL_SOLVE_SIZE``). The closed-form expectations in :func:`expect_k` and
+from :func:`_correlation_values`. The distance is numpy's, one dimension at a
+time, (a_d - b_d)^2 summed in dimension order (:func:`_sum_sq_diffs`): that is
+bitwise what ``scipy.spatial.distance.cdist(..., "sqeuclidean")`` returns, and
+importing ``scipy.spatial`` for it cost every process about 9 MB of memory and
+0.1 s of start-up. The per-dimension terms also let the ESS sampler keep the
+terms of the latent columns a proposal does not change. Every Cholesky factor
+comes from :func:`_cholesky_with_jitter` and every solve against one from
+:func:`chol_solve`; both call LAPACK (``dpotrf``/``dpotrs``) directly, because
+the numpy and scipy wrappers cost more per call than the routine at the sizes
+SEM factors many thousands of times. :func:`chol_solve` and :func:`chol_inverse`
+split their work into calls small enough that OpenBLAS runs them on the calling
+thread (see ``SERIAL_SOLVE_SIZE``). The closed-form expectations in :func:`expect_k` and
 :func:`expect_kk` are derived for this convention and are validated against
 Gauss-Hermite quadrature and Monte Carlo in the test suite.
 :func:`expect_kk_pairwise`, the all-pairs J that linked prediction uses, sums
@@ -34,7 +39,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import blas, lapack
-from scipy.spatial.distance import cdist
 
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
@@ -55,11 +59,12 @@ class KernelSpec:
     lengthscales: np.ndarray  # shape (D,), strictly positive
 
     def __post_init__(self):
-        ls = np.atleast_1d(np.asarray(self.lengthscales, dtype=float))
-        if ls.ndim != 1:
-            raise ValueError("lengthscales must be a 1-D array")
+        ls = np.array(self.lengthscales, dtype=float, ndmin=1)
+        if ls.ndim != 1 or ls.size == 0:
+            raise ValueError("lengthscales must be a non-empty 1-D array")
         if not np.all(np.isfinite(ls)) or np.any(ls <= 0):
             raise ValueError("lengthscales must be strictly positive and finite")
+        ls.flags.writeable = False  # a read-only copy: no model built from it goes stale
         object.__setattr__(self, "lengthscales", ls)
 
     @property
@@ -95,7 +100,23 @@ def scaled_sq_dist(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray
             f"expected {spec.ndim} columns, got {A.shape[1]} and {B.shape[1]}"
         )
     As = A / spec.lengthscales
-    return cdist(As, As if b_is_a else B / spec.lengthscales, "sqeuclidean")
+    return _sum_sq_diffs(As, As if b_is_a else B / spec.lengthscales)
+
+
+def _sq_diffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a_i - b_j)^2 for vectors a and b, shape (len(a), len(b)): one dimension's
+    term of :func:`_sum_sq_diffs`."""
+    t = np.subtract.outer(a, b)
+    return np.multiply(t, t, out=t)
+
+
+def _sum_sq_diffs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """sum_d (A_id - B_jd)^2, shape (len(A), len(B)), with the terms added in
+    dimension order: bitwise what cdist(A, B, "sqeuclidean") returns."""
+    d2 = _sq_diffs(A[:, 0], B[:, 0])
+    for d in range(1, A.shape[1]):
+        d2 += _sq_diffs(A[:, d], B[:, d])
+    return d2
 
 
 def cross_correlation(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -183,20 +204,22 @@ def _correlation_values(d2: np.ndarray, nugget: float) -> np.ndarray:
     return R
 
 
-def build_correlation(spec: KernelSpec, nugget: float, X: np.ndarray) -> CorrelationMatrix:
+def build_correlation(spec: KernelSpec, nugget: float, X: np.ndarray,
+                      d2: np.ndarray | None = None) -> CorrelationMatrix:
     """Correlation matrix k(X_i, X_j) + nugget * I with factorization.
 
     The nugget is on the diagonal only, so identical rows of X leave R positive
     definite for any positive nugget. The SEM sampler's likelihood and every
     fitted GP use this matrix. Non-finite inputs raise ValueError: LAPACK would
-    factor their NaN rows without reporting a failure.
+    factor their NaN rows without reporting a failure. ``d2``, when given, is
+    ``scaled_sq_dist(spec, X, X)`` made by the caller, and is overwritten.
     """
     if not (nugget >= 0 and math.isfinite(nugget)):
         raise ValueError("nugget must be finite and non-negative")
     X = np.asarray(X, dtype=float)
     if not np.isfinite(X).all():
         raise ValueError("correlation inputs are not finite")
-    R = _correlation_values(scaled_sq_dist(spec, X, X), nugget)
+    R = _correlation_values(scaled_sq_dist(spec, X, X) if d2 is None else d2, nugget)
     L, jitter = _cholesky_with_jitter(R)
     return CorrelationMatrix(chol=L, jitter_applied=jitter)
 
@@ -246,10 +269,10 @@ def expect_kk_pairwise(spec: KernelSpec, m, v, W: np.ndarray) -> np.ndarray:
     l2 = spec.lengthscales**2
     denom = l2 + 4.0 * v
     u = (m - W) / np.sqrt(2.0 * denom)
-    # ||u_i - (-u_j)||^2 sums (u_i + u_j)^2, which is bitwise symmetric in i, j
+    # u_i - (-u_j) is u_i + u_j, bitwise symmetric in i, j
     exponent = scaled_sq_dist(spec, W, W)
     exponent *= -0.5
-    exponent -= cdist(u, -u, "sqeuclidean")
+    exponent -= _sum_sq_diffs(u, -u)
     J = np.exp(exponent, out=exponent)
     J *= np.prod(np.sqrt(l2 / denom))
     return J

@@ -1,5 +1,6 @@
 import json
 import re
+import zipfile
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -35,7 +36,13 @@ from gpimpute.gp import (
     make_fitted_gp,
     predict_batch,
 )
-from gpimpute.kernels import KernelSpec, build_correlation, kernel_value
+from gpimpute.kernels import (
+    DimensionMismatchError,
+    KernelSpec,
+    build_correlation,
+    kernel_value,
+    scaled_sq_dist,
+)
 from gpimpute.linked import (
     LayerArchitecture,
     LinkedEmulator,
@@ -105,21 +112,24 @@ class TestMixComponents:
         assert len(mixed.components) == 17
 
 
-def make_state(rng, n=20, flat_second=False):
+def make_state(rng, n=20, flat_second=False, n_latent=2):
     X = np.linspace(0, 1, n)[:, None]
-    latent_obs = np.column_stack([np.sin(4 * X[:, 0]), np.cos(5 * X[:, 0])])
+    latent_obs = np.column_stack([np.sin(4 * X[:, 0]), np.cos(5 * X[:, 0]),
+                                  np.sin(7 * X[:, 0] + 1)][:n_latent])
     latent_mask = np.ones_like(latent_obs, dtype=bool)
     latent_mask[4:9, 0] = False
     latent_mask[12:15, 1] = False
+    if n_latent == 3:
+        latent_mask[16:19, 2] = False
     y = np.tanh(latent_obs[:, 0] + latent_obs[:, 1]) + 0.05 * rng.standard_normal(n)
     first_hyper = [
-        GPHyperparams(kernel=se_spec(0.3), scale=1.0, nugget=1e-4) for _ in range(2)
+        GPHyperparams(kernel=se_spec(0.3), scale=1.0, nugget=1e-4) for _ in range(n_latent)
     ]
     if flat_second:
         # enormous nugget makes the output likelihood essentially constant in w
-        second_hyper = GPHyperparams(kernel=se_spec(1.0, 1.0), scale=1.0, nugget=1e8)
+        second_hyper = GPHyperparams(kernel=se_spec(*[1.0] * n_latent), scale=1.0, nugget=1e8)
     else:
-        second_hyper = GPHyperparams(kernel=se_spec(0.8, 0.8), scale=1.0, nugget=0.05)
+        second_hyper = GPHyperparams(kernel=se_spec(*[0.8] * n_latent), scale=1.0, nugget=0.05)
     return LatentState(
         X=X, y=y, latent_obs=latent_obs, latent_mask=latent_mask,
         first_hyper=first_hyper, second_hyper=second_hyper,
@@ -244,17 +254,24 @@ class TestESSLikelihoodReuse:
 
     NEW_SECOND = GPHyperparams(kernel=se_spec(0.5, 1.2), scale=4.0, nugget=0.02)
 
-    def run(self, sweep, monkeypatch):
+    def run(self, sweep, monkeypatch, n_latent=2):
         """Three sweeps, a second-layer hyperparameter change, three more; the
-        draws after every sweep, the output_loglik calls and the ess_update calls."""
-        state = make_state(np.random.default_rng(6), n=30)
+        draws after every sweep, the output_loglik calls and the ess_update calls.
+        ``d2_given`` counts the calls given the squared distances, and ``d2_wrong``
+        those whose distances are not bitwise scaled_sq_dist's at w."""
+        state = make_state(np.random.default_rng(6), n=30, n_latent=n_latent)
+        new_second = replace(self.NEW_SECOND, kernel=se_spec(*[0.5, 1.2, 0.9][:n_latent]))
         rng = np.random.default_rng(7)
-        counts = {"loglik": 0, "ess": 0}
+        counts = {"loglik": 0, "ess": 0, "d2_given": 0, "d2_wrong": 0}
         output_loglik, ess_update = state.output_loglik, dgp.ess_update
 
-        def counting_loglik(w):
+        def counting_loglik(w, *d2):
             counts["loglik"] += 1
-            return output_loglik(w)
+            if d2:
+                counts["d2_given"] += 1
+                fresh = scaled_sq_dist(state.second_hyper.kernel, w, w)
+                counts["d2_wrong"] += d2[0].tobytes() != fresh.tobytes()
+            return output_loglik(w, *d2)
 
         def counting_ess(*args, **kwargs):
             counts["ess"] += 1
@@ -266,7 +283,7 @@ class TestESSLikelihoodReuse:
             patch.setattr(dgp, "ess_update", counting_ess)
             for k in range(6):
                 if k == 3:
-                    state.set_hyperparams(state.first_hyper, self.NEW_SECOND)
+                    state.set_hyperparams(state.first_hyper, new_second)
                 sweep(state, rng)
                 draws.append(state.w.copy())
         return draws, counts
@@ -277,6 +294,29 @@ class TestESSLikelihoodReuse:
         for got, want in zip(draws, ref):
             assert np.array_equal(got, want)
         assert not np.array_equal(draws[0], draws[-1])
+
+    @pytest.mark.parametrize("n_latent", [2, 3])
+    def test_kept_column_terms_are_the_from_scratch_distances(self, monkeypatch, n_latent):
+        # each proposal recomputes its own column's term and keeps the others'; a
+        # term left stale by an accepted proposal or by the lengthscale change at
+        # sweep 3, or terms added out of column order (three columns), would hand
+        # output_loglik other distances
+        _, counts = self.run(LatentState.sweep, monkeypatch, n_latent)
+        assert counts["d2_given"] == counts["loglik"] > 0
+        assert counts["d2_wrong"] == 0
+
+    def test_set_hyperparams_drops_the_kept_terms_even_when_it_raises(self):
+        state = make_state(np.random.default_rng(6), n=30)
+        state.sweep(np.random.default_rng(7))
+        assert state._loglik is not None
+        for p, term in enumerate(state._d2_terms):
+            column = state.w[:, [p]]
+            one_dim = KernelSpec(state.second_hyper.kernel.lengthscales[[p]])
+            assert term.tobytes() == scaled_sq_dist(one_dim, column, column).tobytes()
+        two_input_first = [GPHyperparams(kernel=se_spec(0.3, 0.3), scale=1.0, nugget=1e-4)] * 2
+        with pytest.raises(DimensionMismatchError):
+            state.set_hyperparams(two_input_first, self.NEW_SECOND)
+        assert state._d2_terms is None and state._loglik is None
 
     def test_one_loglik_call_fewer_per_update(self, monkeypatch):
         _, counts = self.run(LatentState.sweep, monkeypatch)
@@ -324,8 +364,8 @@ class TestTrainSEM:
         assert shapes == nodes + [(table.n, 3)]
         assert em.draws.tobytes() == ref.draws.tobytes()
         assert em.manifest() == ref.manifest()
-        for got, want in zip(em.first_hyper + [em.second_hyper],
-                             ref.first_hyper + [ref.second_hyper]):
+        for got, want in zip([*em.first_hyper, em.second_hyper],
+                             [*ref.first_hyper, ref.second_hyper]):
             assert got.kernel.lengthscales.tobytes() == want.kernel.lengthscales.tobytes()
             assert (got.scale, got.nugget) == (want.scale, want.nugget)
 
@@ -550,6 +590,23 @@ class TestFrozenEmulator:
         held[...] = 0
         assert getattr(copy, name).tobytes() == values.tobytes()
 
+    def test_hyperparameters_cannot_go_stale(self):
+        em = train_sem(masked_window(seed=10), small_arch(), FAST_SEM, 3)
+        before = predict_ensemble(em, [0.4])
+        assert isinstance(em.first_hyper, tuple)
+        for hyper in (em.first_hyper[0], em.second_hyper):
+            with pytest.raises(ValueError, match="read-only"):
+                hyper.kernel.lengthscales[0] *= 3
+        with pytest.raises(TypeError):
+            em.first_hyper[0] = em.first_hyper[1]
+        assert predict_ensemble(em, [0.4]) == before
+
+    def test_kernel_spec_keeps_its_own_lengthscales(self):
+        held = np.array([0.5, 2.0])  # an array its caller goes on writing to
+        spec = KernelSpec(held)
+        held[0] = 7.0
+        assert spec.lengthscales.tolist() == [0.5, 2.0]
+
     def test_replace_predicts_from_the_new_values(self):
         em = train_sem(masked_window(seed=10), small_arch(), FAST_SEM, 3)
         before = predict_ensemble(em, [0.4])
@@ -646,6 +703,16 @@ class TestPersistence:
         data = name.read_bytes()
         name.write_bytes({"truncated": data[:-100], "empty": b"",
                           "text": b"0,0,0,0.5,1\n"}[damage])
+        with pytest.raises(ValueError, match=re.escape(str(name))):
+            load_emulator(str(path))
+
+    def test_zip_archive_refused(self, tmp_path):
+        # np.load opens a zip archive at any path as an NpzFile, not an array
+        em, path = self.saved(tmp_path)
+        name = path / "imputations.npy"
+        with zipfile.ZipFile(name, "w") as archive:
+            with archive.open("draws.npy", "w") as member:
+                np.save(member, em.draws)
         with pytest.raises(ValueError, match=re.escape(str(name))):
             load_emulator(str(path))
 

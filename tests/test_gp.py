@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -300,17 +301,53 @@ class TestOptimizer:
         assert np.all(np.linalg.eigvalsh(res.hess_inv) > 0)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # the optimizer is the package's own, so start-up need not pay for importing
-    # scipy.optimize
+def scipy_modules_loaded_after(body: str, packages: tuple[str, ...]) -> list[str]:
+    """The modules of ``packages`` loaded in a fresh interpreter after importing
+    gpimpute and its CLI, then running ``body``."""
     import gpimpute
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(gpimpute.__file__)))
-    code = (f"import sys; sys.path.insert(0, {src!r}); import gpimpute, gpimpute.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import gpimpute, gpimpute.cli\n"
+            f"{body}\n"
+            "import json\n"
+            f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({packages!r}))))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+# the optimizer and the squared distances are the package's own, so start-up
+# need not pay for importing scipy.optimize or scipy.spatial
+UNUSED_SCIPY = ("scipy.optimize", "scipy.spatial")
+
+
+@pytest.mark.parametrize("package", UNUSED_SCIPY)
+def test_import_leaves_scipy_module_unloaded(package):
+    assert scipy_modules_loaded_after("", (package,)) == []
+
+
+def test_train_predict_save_load_leave_unused_scipy_unloaded():
+    # a lazy import anywhere on the train, predict and save/load path would bring
+    # the memory and start-up cost back
+    body = """
+import tempfile
+import numpy as np
+from gpimpute import data, dgp, gp, linked
+table = data.generate_synthetic_window(data.SyntheticConfig(min_length=20, max_length=25),
+                                       np.random.default_rng(0)).table
+plan = data.make_mask_plan(table, 0.3, table.covariate_names, seed=100)
+config = dgp.SEMConfig(iterations=2, burn_in=1, ess_sweeps=1, n_imputations=3,
+                       fit=gp.FitConfig(n_starts=1, seed=0))
+arch = linked.LayerArchitecture(("pco2", "sid", "lactate"), "ph")
+em = dgp.train_sem(data.apply_mask(table, plan), arch, config, 0)
+with tempfile.TemporaryDirectory() as tmp:
+    dgp.save_emulator(em, tmp)
+    loaded = dgp.load_emulator(tmp)
+for e in (em, loaded):
+    dgp.predict_ensemble(e, [0.4])
+    dgp.impute_covariates(e, [0.2, 0.6], "sid")
+"""
+    assert scipy_modules_loaded_after(body, UNUSED_SCIPY) == []
 
 
 class TestOutputColumns:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist  # the reference only: the package does not use it
 
 from gpimpute import kernels
 from gpimpute.kernels import (
@@ -71,6 +72,69 @@ class TestKernelValue:
         assert v1 == v2
         assert 0 < v1 <= 1
         assert (v1 == 1) == (a == b)
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestDistanceParity:
+    """The squared distances are numpy's, bitwise what cdist(..., "sqeuclidean")
+    returns for the scaled inputs."""
+
+    @staticmethod
+    def cases(d, seed, n_cases=40):
+        rng = np.random.default_rng(seed)
+        for _ in range(n_cases):
+            n, m = rng.integers(1, 50, 2)
+            spec = KernelSpec(rng.uniform(0.05, 5.0, d))
+            A = rng.normal(0.0, rng.uniform(0.1, 10.0), (n, d))
+            yield spec, A, rng.normal(0.0, 3.0, (m, d))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("same", [True, False], ids=["A-is-B", "A-not-B"])
+    def test_scaled_sq_dist_is_cdist(self, d, same):
+        for spec, A, B in self.cases(d, seed=20 + d):
+            B = A if same else B
+            got = kernels.scaled_sq_dist(spec, A, B)
+            want = cdist(A / spec.lengthscales, B / spec.lengthscales, "sqeuclidean")
+            assert bitwise_equal(got, want)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_u_against_minus_u_is_cdist(self, d):
+        # expect_kk_pairwise's ||u_i + u_j||^2, as the distance from u to -u
+        unit = KernelSpec(np.ones(d))
+        for _, u, _ in self.cases(d, seed=30 + d):
+            assert bitwise_equal(kernels.scaled_sq_dist(unit, u, -u), cdist(u, -u, "sqeuclidean"))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_exactly_symmetric_with_zero_diagonal(self, d):
+        for spec, A, _ in self.cases(d, seed=40 + d):
+            for B in (A, A.copy()):
+                d2 = kernels.scaled_sq_dist(spec, A, B)
+                assert bitwise_equal(d2, d2.T)
+                assert (d2.diagonal() == 0).all()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_expect_kk_pairwise_is_the_cdist_form(self, d):
+        rng = np.random.default_rng(50 + d)
+        for spec, W, _ in self.cases(d, seed=60 + d):
+            m, v = rng.normal(0.0, 0.5, d), rng.uniform(0.0, 0.5, d)
+            l2 = spec.lengthscales**2
+            denom = l2 + 4.0 * v
+            u = (m - W) / np.sqrt(2.0 * denom)
+            Ws = W / spec.lengthscales
+            exponent = cdist(Ws, Ws, "sqeuclidean")
+            exponent *= -0.5
+            exponent -= cdist(u, -u, "sqeuclidean")
+            want = np.exp(exponent) * np.prod(np.sqrt(l2 / denom))
+            assert bitwise_equal(expect_kk_pairwise(spec, m, v, W), want)
+
+    @pytest.mark.parametrize("bad", [[], [[1.0, 2.0]], [1.0, 0.0], [1.0, np.inf]],
+                             ids=["empty", "2-D", "zero", "infinite"])
+    def test_kernel_spec_refuses_lengthscales(self, bad):
+        with pytest.raises(ValueError, match="lengthscales must be"):
+            KernelSpec(np.array(bad))
 
 
 class TestBuildCorrelation:
