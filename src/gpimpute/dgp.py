@@ -62,7 +62,7 @@ class SEMConfig:
     iterations: int = 500
     burn_in: int = 300
     ess_sweeps: int = 10  # ESS sweeps per SEM iteration and between final draws
-    n_imputations: int = 50
+    n_imputations: int = 50  # draws taken when a latent is missing; data with none is one draw
     refit_max_iter: int = 25
     fit: FitConfig = field(default_factory=FitConfig)
 
@@ -175,34 +175,35 @@ class LatentState:
         self.y = np.asarray(y, dtype=float).ravel()
         self.latent_obs = np.asarray(latent_obs, dtype=float)
         self.latent_mask = np.asarray(latent_mask, dtype=bool)
-        self.first_hyper = list(first_hyper)
-        self.second_hyper = second_hyper
         self.w = np.asarray(initial_latents, dtype=float).copy()
         self.w[self.latent_mask] = self.latent_obs[self.latent_mask]
-        self._priors: list[_ColumnPrior | None] = [None] * self.n_latent
-        self._loglik: float | None = None  # output_loglik(self.w), once a sweep has run
-        self._d2_terms: list[np.ndarray] | None = None  # _d2_term(p, self.w[:, p]) per p
-        self._rebuild_priors()
+        self.set_hyperparams(first_hyper, second_hyper)
 
     @property
     def n_latent(self) -> int:
         return self.latent_mask.shape[1]
 
     def set_hyperparams(self, first_hyper, second_hyper):
-        self._loglik = None
-        self._d2_terms = None
-        self.first_hyper = list(first_hyper)
+        """Take new hyperparameters and the priors built from them, and drop the
+        kept likelihood and terms; a build that raises leaves the state as it was."""
+        first_hyper = list(first_hyper)
+        self._priors: list[_ColumnPrior | None] = self._column_priors(first_hyper)
+        self.first_hyper = first_hyper
         self.second_hyper = second_hyper
-        self._rebuild_priors()
+        self._loglik: float | None = None  # output_loglik(self.w), once a sweep has run
+        self._d2_terms: list[np.ndarray] | None = None  # _d2_term(p, self.w[:, p]) per p
 
-    def _rebuild_priors(self):
+    def _column_priors(self, first_hyper) -> list[_ColumnPrior | None]:
+        """Each latent column's conditional prior under ``first_hyper``; None for a
+        column with no missing entry."""
+        priors = []
         for p in range(self.n_latent):
             obs = self.latent_mask[:, p]
             miss = np.where(~obs)[0]
             if miss.size == 0:
-                self._priors[p] = None
+                priors.append(None)
                 continue
-            hyper = self.first_hyper[p]
+            hyper = first_hyper[p]
             cov = hyper.scale * _correlation_values(scaled_sq_dist(hyper.kernel, self.X, self.X),
                                                     hyper.nugget)
             oi = np.where(obs)[0]
@@ -218,7 +219,8 @@ class LatentState:
                 cond = cov[np.ix_(miss, miss)] - S_mo @ sol
                 cond = 0.5 * (cond + cond.T)
             L, _ = _cholesky_with_jitter(cond)
-            self._priors[p] = _ColumnPrior(missing=miss, mean=mean, chol=L)
+            priors.append(_ColumnPrior(missing=miss, mean=mean, chol=L))
+        return priors
 
     def output_loglik(self, w_full: np.ndarray, d2: np.ndarray | None = None) -> float:
         """Zero-mean Gaussian log density of y under the second-layer GP at latents
@@ -283,9 +285,10 @@ def impute_latents(state: LatentState, rng: np.random.Generator, sweeps: int = 1
 
 @dataclass(frozen=True)
 class DGPSIEmulator:
-    """Ensemble of S latent draws. The draws share the training inputs and
+    """Ensemble of S latent draws: S imputations, or the data itself as the one
+    draw when no latent is missing. The draws share the training inputs and
     first-layer hyperparameters, so each latent node has one GP whose column s
-    is draw s; the second layer keeps alpha and R^-1 per distinct draw.
+    is draw s; the second layer keeps alpha and R^-1 per draw.
 
     Frozen, with read-only copies of its arrays and lengthscales and a tuple of
     first-layer hyperparameters, so the layers built from them cannot go stale:
@@ -314,24 +317,16 @@ class DGPSIEmulator:
             for p, h in enumerate(self.first_hyper)])
 
     @cached_property
-    def second_layer(self) -> tuple[list[int], dict[int, tuple[np.ndarray, np.ndarray]]]:
-        """For each draw, the index of its first bitwise-equal draw; and for each
-        such first draw s, alpha_s = R_s^-1 y (N,) and R_s^-1 (N, N), from one
-        factor of R_s that is not kept. Built on first output prediction."""
+    def second_layer(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per draw s, in draw order, alpha_s = R_s^-1 y (N,) and R_s^-1 (N, N),
+        from one factor of R_s that is not kept. Built on first output prediction."""
         y = self.train_y
         n = self.draws.shape[1]
         if y.shape != (n,) or not np.isfinite(y).all():
             raise ValueError(f"train_y must be {n} finite outputs, one per training row")
-        # compared as bytes: np.unique(axis=0) sorts the draws as records of N * P
-        # fields, 1.7 ms against 0.03 ms for 20 draws at N = 80 on a 2-vCPU VM
-        keys = [draw.tobytes() for draw in self.draws]
-        firsts = [keys.index(k) for k in keys]
         hyper = self.second_hyper
-        layers = {}
-        for s in sorted(set(firsts)):
-            chol = build_correlation(hyper.kernel, hyper.nugget, self.draws[s]).chol
-            layers[s] = (chol_solve(chol, y), chol_inverse(chol))
-        return firsts, layers
+        chols = (build_correlation(hyper.kernel, hyper.nugget, draw).chol for draw in self.draws)
+        return [(chol_solve(chol, y), chol_inverse(chol)) for chol in chols]
 
     @property
     def n_imputations(self) -> int:
@@ -376,8 +371,9 @@ def train_sem(
     Alternates ESS sweeps over missing latent entries with per-node ML refits;
     final hyperparameters are the log-space average over post-burn-in iterations,
     then ``n_imputations`` latent draws populate the ensemble. With fully
-    observed latents the E-step is a no-op and the result equals independent
-    per-node ML fits.
+    observed latents the E-step is a no-op: the result equals independent
+    per-node ML fits, and its one draw is the data, whatever ``n_imputations``
+    says.
 
     ``fit``, called as ``fit(X, y, config.fit)``, makes every initial fit (each
     latent node, then the second layer) in place of :func:`fit_gp`; it must
@@ -416,13 +412,13 @@ def train_sem(
                        config.refit_max_iter, config.fit, hess_inv)
 
     if latent_mask.all():
-        # E-step is a no-op: independent per-node ML fits, identical latents per draw
+        # E-step is a no-op: independent per-node ML fits, and the data is the one draw
         first_hyper = [first_fit(p, latent_mask[:, p]).hyper for p in range(P)]
         second_hyper = fit_node(latent_obs, y, arch.output_node).hyper
-        draws = np.repeat(latent_obs[None], config.n_imputations, axis=0)
         return DGPSIEmulator(
             architecture=arch, first_hyper=first_hyper, second_hyper=second_hyper,
-            draws=draws, latent_mask=latent_mask, rng_seed=seed, train_X=X, train_y=y,
+            draws=latent_obs[None], latent_mask=latent_mask, rng_seed=seed, train_X=X,
+            train_y=y,
         )
 
     # initial fill: per-column GP on observed entries, posterior mean at missing
@@ -482,15 +478,12 @@ def train_sem(
 
 
 def predict_ensemble(em: DGPSIEmulator, x0) -> EnsemblePrediction:
-    """Mixture of per-imputation linked-GP predictions at a global input; each
-    distinct draw is propagated once and its component repeated for its copies."""
+    """Mixture of per-imputation linked-GP predictions at a global input."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     means, variances = _latent_predictions(em.first_layer, x0[None, :])  # (1, P, S), (1, P)
-    firsts, layers = em.second_layer
-    distinct = {s: _propagated_gaussian(em.second_hyper, em.draws[s], alpha, Rinv,
-                                        means[0, :, s], variances[0])
-                for s, (alpha, Rinv) in layers.items()}
-    return mix_components([distinct[s] for s in firsts])
+    return mix_components([
+        _propagated_gaussian(em.second_hyper, draw, alpha, Rinv, m, variances[0])
+        for draw, (alpha, Rinv), m in zip(em.draws, em.second_layer, means[0].T)])
 
 
 def impute_covariates(em: DGPSIEmulator, query_times, target: str) -> list[EnsemblePrediction]:
@@ -565,13 +558,24 @@ def _load_array(directory: str, name: str, dtype, shape: tuple) -> np.ndarray:
 def load_emulator(directory: str) -> DGPSIEmulator:
     """Rebuild an emulator from :func:`save_emulator`'s files. An array of another
     dtype or shape, a non-finite value, or a fixed cell whose bits differ between
-    draws is a ``ValueError`` naming the file. A directory in the older per-cell
-    CSV layout raises ``FileNotFoundError`` for ``training_inputs.npy``."""
-    with open(os.path.join(directory, "manifest.json")) as fh:
+    draws is a ``ValueError`` naming the file, as is a manifest without one
+    first-layer entry per latent node, each with one lengthscale per input column,
+    and one second-layer lengthscale per latent node. A directory in the older
+    per-cell CSV layout raises ``FileNotFoundError`` for ``training_inputs.npy``."""
+    manifest_path = os.path.join(directory, "manifest.json")
+    with open(manifest_path) as fh:
         manifest = json.load(fh)
     arch = LayerArchitecture(tuple(manifest["latent_nodes"]), manifest["output_node"])
     X = _load_array(directory, "training_inputs.npy", float, (None, None))
     n, p = X.shape[0], arch.n_latent
+    first_hyper = [_saved_hyper(e) for e in manifest["first_layer"]]
+    second_hyper = _saved_hyper(manifest["second_layer"])
+    first_dims = [len(h.kernel.lengthscales) for h in first_hyper]
+    if first_dims != [X.shape[1]] * p or len(second_hyper.kernel.lengthscales) != p:
+        raise ValueError(
+            f"{manifest_path}: expected {p} first-layer entries of {X.shape[1]} lengthscales "
+            f"and {p} second-layer lengthscales, one per latent node; got entries of "
+            f"{first_dims} and {len(second_hyper.kernel.lengthscales)}")
     y = _load_array(directory, "training_outputs.npy", float, (n,))
     draws = _load_array(directory, "imputations.npy", float, (None, n, p))
     mask = _load_array(directory, "latent_mask.npy", bool, (n, p))
@@ -579,7 +583,6 @@ def load_emulator(directory: str) -> DGPSIEmulator:
         raise ValueError(f"{os.path.join(directory, 'imputations.npy')}: the value of each "
                          "fixed (observed) cell must be the same, bit for bit, in every draw")
     return DGPSIEmulator(
-        architecture=arch, first_hyper=[_saved_hyper(e) for e in manifest["first_layer"]],
-        second_hyper=_saved_hyper(manifest["second_layer"]), draws=draws, latent_mask=mask,
-        rng_seed=manifest.get("rng_seed"), train_X=X, train_y=y,
+        architecture=arch, first_hyper=first_hyper, second_hyper=second_hyper, draws=draws,
+        latent_mask=mask, rng_seed=manifest.get("rng_seed"), train_X=X, train_y=y,
     )

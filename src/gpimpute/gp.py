@@ -47,6 +47,7 @@ from .kernels import (
     KernelSpec,
     _cholesky_with_jitter,
     _correlation_values,
+    _sq_diffs,
     build_correlation,
     chol_inverse,
     chol_solve,
@@ -142,10 +143,6 @@ class FittedGP:
     # warm refit; None when the hyperparameters were given
     hess_inv: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def n(self) -> int:
-        return self.training.n
-
 
 def make_fitted_gp(X, y, hyper: GPHyperparams) -> FittedGP:
     """Assemble a FittedGP from explicit hyperparameters (no estimation); a
@@ -191,7 +188,7 @@ class _PreparedSEObjective:
     def __init__(self, X: np.ndarray, y: np.ndarray):
         self.y = y
         self.n = X.shape[0]
-        self.d2 = np.stack([(X[:, k, None] - X[None, :, k]) ** 2 for k in range(X.shape[1])])
+        self.d2 = np.stack([_sq_diffs(X[:, k], X[:, k]) for k in range(X.shape[1])])
         self.best = None
 
     def __call__(self, theta: np.ndarray):

@@ -19,7 +19,7 @@ elementwise sum of R^-1 * J, never as an explicit matrix product.
 
 :func:`propagate_moments` reads only the second layer's hyperparameters, its
 training latents w, alpha = R(w)^-1 y and R(w)^-1: the ensemble in ``dgp``
-keeps just alpha and R^-1 per distinct draw, and :func:`link_predict` passes
+keeps just alpha and R^-1 per draw, and :func:`link_predict` passes
 those of a fitted GP.
 """
 

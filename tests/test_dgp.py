@@ -158,7 +158,7 @@ class TestImputeLatents:
         rng = np.random.default_rng(3)
         state = make_state(rng)
         state.latent_mask[:] = True
-        state._rebuild_priors()
+        state.set_hyperparams(state.first_hyper, state.second_hyper)  # rebuilds the priors
         before = state.w.copy()
         w = impute_latents(state, rng, sweeps=5)
         assert np.array_equal(w, before)
@@ -305,18 +305,29 @@ class TestESSLikelihoodReuse:
         assert counts["d2_given"] == counts["loglik"] > 0
         assert counts["d2_wrong"] == 0
 
-    def test_set_hyperparams_drops_the_kept_terms_even_when_it_raises(self):
+    def test_set_hyperparams_that_raises_leaves_the_state_whole(self):
+        # the priors are built before anything is assigned, so an update that
+        # raises keeps the old hyperparameters, priors, kept terms and likelihood
         state = make_state(np.random.default_rng(6), n=30)
         state.sweep(np.random.default_rng(7))
-        assert state._loglik is not None
+        names = ("first_hyper", "second_hyper", "_priors", "_d2_terms", "_loglik")
+        before = {name: getattr(state, name) for name in names}
+        kept = [list(before[name]) for name in ("first_hyper", "_priors", "_d2_terms")]
+        two_input_first = [GPHyperparams(kernel=se_spec(0.3, 0.3), scale=1.0, nugget=1e-4)] * 2
+        with pytest.raises(DimensionMismatchError):
+            state.set_hyperparams(two_input_first, self.NEW_SECOND)
+        assert all(getattr(state, name) is before[name] for name in names)
+        assert kept == [state.first_hyper, state._priors, state._d2_terms]
+        for got, want in zip(state._priors, state._column_priors(state.first_hyper)):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.mean.tobytes() == want.mean.tobytes()
+                assert got.chol.tobytes() == want.chol.tobytes()
         for p, term in enumerate(state._d2_terms):
             column = state.w[:, [p]]
             one_dim = KernelSpec(state.second_hyper.kernel.lengthscales[[p]])
             assert term.tobytes() == scaled_sq_dist(one_dim, column, column).tobytes()
-        two_input_first = [GPHyperparams(kernel=se_spec(0.3, 0.3), scale=1.0, nugget=1e-4)] * 2
-        with pytest.raises(DimensionMismatchError):
-            state.set_hyperparams(two_input_first, self.NEW_SECOND)
-        assert state._d2_terms is None and state._loglik is None
+        assert state._loglik == state.output_loglik(state.w)
 
     def test_one_loglik_call_fewer_per_update(self, monkeypatch):
         _, counts = self.run(LatentState.sweep, monkeypatch)
@@ -479,8 +490,9 @@ class TestTrainSEM:
                 predict_ensemble(em, [bad])
 
     def test_fully_observed_builds_one_second_layer(self, monkeypatch):
-        # every draw of a fully observed emulator is the data, so one second-layer
-        # GP serves them all, and covariate imputation builds none
+        # a fully observed emulator's one draw is the data, so it has one
+        # second-layer GP whatever n_imputations says, and covariate imputation
+        # builds none
         built = []
         real = dgp.build_correlation
         monkeypatch.setattr(dgp, "build_correlation",
@@ -493,36 +505,67 @@ class TestTrainSEM:
         assert n_second() == 0
         preds = [predict_ensemble(em, [x]) for x in (0.3, 0.8)]
         assert n_second() == 1
-        assert all(len(p.components) == 20 and len(set(p.components)) == 1 for p in preds)
+        assert all(len(p.components) == 1 for p in preds)
+
+    def test_fully_observed_is_one_draw_of_the_data(self, tmp_path):
+        table = make_window(seed=12)
+        em = train_sem(table, small_arch(), replace(FAST_SEM, n_imputations=20), 5)
+        latents = np.column_stack([table.column(c)[0] for c in small_arch().latent_nodes])
+        assert em.draws.shape == (1, *latents.shape)
+        assert em.draws[0].tobytes() == latents.tobytes()
+        assert em.n_imputations == em.manifest()["n_imputations"] == 1
+        save_emulator(em, str(tmp_path / "em"))
+        back = load_emulator(str(tmp_path / "em"))
+        assert back.draws.tobytes() == em.draws.tobytes()
+        for x0 in ([0.3], [0.8]):
+            pred = predict_ensemble(em, x0)
+            assert pred.mixture.mean == pred.components[0].mean
+            assert predict_ensemble(back, x0) == pred
+
+    def test_repeated_draws_load_and_predict(self, tmp_path):
+        # emulators saved while a fully observed train_sem repeated the data per
+        # draw still load, and give one component per copy
+        em = train_sem(make_window(seed=12), small_arch(), FAST_SEM, 5)
+        repeated = replace(em, draws=np.repeat(em.draws, 20, axis=0))
+        save_emulator(repeated, str(tmp_path / "em"))
+        back = load_emulator(str(tmp_path / "em"))
+        assert back.draws.tobytes() == repeated.draws.tobytes()
+        for x0 in ([0.3], [0.8]):
+            pred = predict_ensemble(back, x0)
+            assert len(pred.components) == 20 and len(set(pred.components)) == 1
+            assert pred == predict_ensemble(repeated, x0)
+        covariates = impute_covariates(back, [0.2, 0.6], "sid")
+        assert all(len(p.components) == 20 and len(set(p.components)) == 1
+                   for p in covariates)
 
     @pytest.mark.parametrize("masked", [True, False], ids=["masked", "fully-observed"])
     def test_second_layer_keeps_alpha_and_inverse_per_distinct_draw(self, masked):
+        # one (alpha, R^-1) per draw, in draw order; every masked draw is distinct,
+        # and a fully observed emulator has one draw
         table = masked_window(seed=12) if masked else make_window(seed=12)
         em = train_sem(table, small_arch(), FAST_SEM, 5)
         n = em.draws.shape[1]
-        firsts, layers = em.second_layer
-        assert sorted(layers) == sorted(set(firsts))
-        assert len(layers) == (FAST_SEM.n_imputations if masked else 1)
-        for entry in layers.values():
+        layers = em.second_layer
+        assert type(layers) is list
+        assert len(layers) == len(em.draws) == (FAST_SEM.n_imputations if masked else 1)
+        assert len({draw.tobytes() for draw in em.draws}) == len(em.draws)
+        for entry in layers:
             assert type(entry) is tuple and len(entry) == 2
             assert all(type(a) is np.ndarray and a.dtype == float for a in entry)
             assert [a.shape for a in entry] == [(n,), (n, n)]
 
     @pytest.mark.parametrize("masked", [True, False], ids=["masked", "fully-observed"])
     def test_ensemble_is_the_per_fitted_gp_reference_bitwise(self, masked):
-        # each distinct draw's alpha and R^-1 are those of its fitted GP, so the
-        # propagated components, and their mixture, are the same floats; a
-        # repeated draw takes the component of its first copy
+        # each draw's alpha and R^-1 are those of its fitted GP, so the
+        # propagated components, and their mixture, are the same floats
         table = masked_window(seed=12) if masked else make_window(seed=12)
         em = train_sem(table, small_arch(), FAST_SEM, 5)
-        keys = [draw.tobytes() for draw in em.draws]
         for x0 in ([0.15], [0.45], [0.9]):
             got = predict_ensemble(em, x0)
             means, variances = _latent_predictions(em.first_layer, np.array([x0]))
             components = []
-            for key in keys:
-                s = keys.index(key)
-                gp = make_fitted_gp(em.draws[s], em.train_y, em.second_hyper)
+            for s, draw in enumerate(em.draws):
+                gp = make_fitted_gp(draw, em.train_y, em.second_hyper)
                 components.append(_propagated_gaussian(
                     gp.hyper, gp.training.X, gp.alpha, gp.corr.inverse(),
                     means[0, :, s], variances[0]))
@@ -788,6 +831,26 @@ class TestPersistence:
             values[:, r, c] = bad
         np.save(path / name, values)
         with pytest.raises(ValueError, match=f"{name}: holds a non-finite value"):
+            load_emulator(str(path))
+
+    @pytest.mark.parametrize("case", ["first-layer-short", "first-layer-long",
+                                      "first-layer-lengthscales", "second-layer-lengthscales"])
+    def test_manifest_of_other_layer_sizes_refused(self, tmp_path, case):
+        # three latent nodes on one input column: three first-layer entries of one
+        # lengthscale each, and a second layer of three lengthscales
+        _, path = self.saved(tmp_path)
+        man = json.loads((path / "manifest.json").read_text())
+        first = man["first_layer"]
+        if case == "first-layer-short":
+            man["first_layer"] = first[:2]
+        elif case == "first-layer-long":
+            man["first_layer"] = first + first[:1]
+        elif case == "first-layer-lengthscales":
+            first[1]["lengthscales"] *= 2
+        else:
+            man["second_layer"]["lengthscales"] = man["second_layer"]["lengthscales"][:2]
+        (path / "manifest.json").write_text(json.dumps(man))
+        with pytest.raises(ValueError, match=re.escape(str(path / "manifest.json"))):
             load_emulator(str(path))
 
     def test_older_csv_layout_refused(self, tmp_path):
