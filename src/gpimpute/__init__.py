@@ -35,6 +35,7 @@ from .dgp import (
     impute_latents,
     load_emulator,
     predict_ensemble,
+    predict_output,
     save_emulator,
     train_sem,
 )

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -288,7 +287,9 @@ class DGPSIEmulator:
     """Ensemble of S latent draws: S imputations, or the data itself as the one
     draw when no latent is missing. The draws share the training inputs and
     first-layer hyperparameters, so each latent node has one GP whose column s
-    is draw s; the second layer keeps alpha and R^-1 per draw.
+    is draw s. The second layer is not kept: each output prediction call
+    (:func:`predict_output`) builds it per draw and drops it, so predicting adds
+    nothing to the emulator.
 
     Frozen, with read-only copies of its arrays and lengthscales and a tuple of
     first-layer hyperparameters, so the layers built from them cannot go stale:
@@ -312,21 +313,12 @@ class DGPSIEmulator:
             values = np.array(getattr(self, name), dtype=dtype)
             values.flags.writeable = False
             object.__setattr__(self, name, values)
+        if self.draws.ndim != 3 or len(self.draws) == 0:
+            raise ValueError(f"draws must be an (S, N, P) array with S >= 1, "
+                             f"got shape {self.draws.shape}")
         object.__setattr__(self, "first_layer", [
             make_fitted_gp(self.train_X, self.draws[:, :, p].T, h)
             for p, h in enumerate(self.first_hyper)])
-
-    @cached_property
-    def second_layer(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per draw s, in draw order, alpha_s = R_s^-1 y (N,) and R_s^-1 (N, N),
-        from one factor of R_s that is not kept. Built on first output prediction."""
-        y = self.train_y
-        n = self.draws.shape[1]
-        if y.shape != (n,) or not np.isfinite(y).all():
-            raise ValueError(f"train_y must be {n} finite outputs, one per training row")
-        hyper = self.second_hyper
-        chols = (build_correlation(hyper.kernel, hyper.nugget, draw).chol for draw in self.draws)
-        return [(chol_solve(chol, y), chol_inverse(chol)) for chol in chols]
 
     @property
     def n_imputations(self) -> int:
@@ -477,13 +469,49 @@ def train_sem(
     )
 
 
+def predict_output(em: DGPSIEmulator, query_times) -> list[EnsemblePrediction]:
+    """Mixture of per-imputation linked-GP predictions of the output at each query
+    time (M times, or an (M, D) array of global inputs).
+
+    Draw by draw, the second layer's scaled squared distances d2 of the draw are
+    computed once, R, alpha = R^-1 y and R^-1 are built from them, every query is
+    propagated with the same d2 (J reads it), and all of them are dropped before
+    the next draw; nothing is kept on the emulator. So the second layer is paid
+    for once per draw per call: predict a batch of times in one call, not one
+    :func:`predict_ensemble` call per time. A non-finite query raises ValueError.
+    """
+    y = em.train_y
+    n = em.draws.shape[1]
+    if y.shape != (n,) or not np.isfinite(y).all():
+        raise ValueError(f"train_y must be {n} finite outputs, one per training row")
+    X0 = np.asarray(query_times, dtype=float)
+    X0 = X0.reshape(-1, 1) if X0.ndim < 2 else X0
+    # the first layer one row at a time: a batched product rounds the latent means
+    # differently in the last bit, which the linked variance amplifies to ~1e-9
+    # relative, so each row gets the bits predict_ensemble gives it alone
+    latents = [_latent_predictions(em.first_layer, x[None, :]) for x in X0]  # (1, P, S), (1, P)
+    hyper = em.second_hyper
+    rows = [[] for _ in latents]
+    for s, draw in enumerate(em.draws):
+        d2 = scaled_sq_dist(hyper.kernel, draw, draw)
+        chol = build_correlation(hyper.kernel, hyper.nugget, draw, d2.copy()).chol
+        alpha, Rinv = chol_solve(chol, y), chol_inverse(chol)
+        for (means, variances), row in zip(latents, rows):
+            row.append(_propagated_gaussian(hyper, draw, alpha, Rinv, means[0, :, s],
+                                            variances[0], d2))
+    shape = (len(rows), len(em.draws))  # (M, S), also when M is 0
+    mixtures = _mix_rows(np.reshape([[c.mean for c in row] for row in rows], shape),
+                         np.reshape([[c.variance for c in row] for row in rows], shape))
+    return [EnsemblePrediction(mixture=mixture, components=row)
+            for mixture, row in zip(mixtures, rows)]
+
+
 def predict_ensemble(em: DGPSIEmulator, x0) -> EnsemblePrediction:
-    """Mixture of per-imputation linked-GP predictions at a global input."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    means, variances = _latent_predictions(em.first_layer, x0[None, :])  # (1, P, S), (1, P)
-    return mix_components([
-        _propagated_gaussian(em.second_hyper, draw, alpha, Rinv, m, variances[0])
-        for draw, (alpha, Rinv), m in zip(em.draws, em.second_layer, means[0].T)])
+    """Mixture of per-imputation linked-GP predictions at one global input: the
+    one-row :func:`predict_output`. Each call builds the second layer of every
+    draw again, so a loop of these over one emulator repeats that work per point;
+    batch the points through :func:`predict_output` instead."""
+    return predict_output(em, np.atleast_1d(np.asarray(x0, dtype=float))[None, :])[0]
 
 
 def impute_covariates(em: DGPSIEmulator, query_times, target: str) -> list[EnsemblePrediction]:
@@ -560,14 +588,19 @@ def load_emulator(directory: str) -> DGPSIEmulator:
     dtype or shape, a non-finite value, or a fixed cell whose bits differ between
     draws is a ``ValueError`` naming the file, as is a manifest without one
     first-layer entry per latent node, each with one lengthscale per input column,
-    and one second-layer lengthscale per latent node. A directory in the older
-    per-cell CSV layout raises ``FileNotFoundError`` for ``training_inputs.npy``."""
+    and one second-layer lengthscale per latent node, and training inputs or draws
+    whose count is not the manifest's ``n_train`` or ``n_imputations`` (at least
+    one draw). A directory in the older per-cell CSV layout raises
+    ``FileNotFoundError`` for ``training_inputs.npy``."""
     manifest_path = os.path.join(directory, "manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     arch = LayerArchitecture(tuple(manifest["latent_nodes"]), manifest["output_node"])
     X = _load_array(directory, "training_inputs.npy", float, (None, None))
     n, p = X.shape[0], arch.n_latent
+    if n != manifest["n_train"]:
+        raise ValueError(f"{os.path.join(directory, 'training_inputs.npy')}: {n} rows, but "
+                         f"{manifest_path} reads n_train {manifest['n_train']}")
     first_hyper = [_saved_hyper(e) for e in manifest["first_layer"]]
     second_hyper = _saved_hyper(manifest["second_layer"])
     first_dims = [len(h.kernel.lengthscales) for h in first_hyper]
@@ -578,6 +611,10 @@ def load_emulator(directory: str) -> DGPSIEmulator:
             f"{first_dims} and {len(second_hyper.kernel.lengthscales)}")
     y = _load_array(directory, "training_outputs.npy", float, (n,))
     draws = _load_array(directory, "imputations.npy", float, (None, n, p))
+    if len(draws) == 0 or len(draws) != manifest["n_imputations"]:
+        raise ValueError(f"{os.path.join(directory, 'imputations.npy')}: {len(draws)} draws; "
+                         f"expected at least 1, and the n_imputations of {manifest_path}, "
+                         f"{manifest['n_imputations']}")
     mask = _load_array(directory, "latent_mask.npy", bool, (n, p))
     if not _fixed_cells_agree(draws, mask):
         raise ValueError(f"{os.path.join(directory, 'imputations.npy')}: the value of each "

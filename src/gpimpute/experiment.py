@@ -41,7 +41,7 @@ from .data import (
     require_ints,
     standardise,
 )
-from .dgp import FIT_ERRORS, SEMConfig, impute_covariates, predict_ensemble, train_sem
+from .dgp import FIT_ERRORS, SEMConfig, impute_covariates, predict_output, train_sem
 from .gp import FitConfig, FittedGP, fit_gp
 from .linked import LayerArchitecture
 
@@ -238,7 +238,7 @@ def _run_method(
         miss = np.where(~table.mask[:, j])[0]
         if miss.size:
             if c == table.output_name:
-                preds = [predict_ensemble(em, [t]) for t in table.times[miss]]
+                preds = predict_output(em, table.times[miss])
             else:
                 preds = impute_covariates(em, table.times[miss], c)
             filled.values[miss, j] = [p.mixture.mean for p in preds]

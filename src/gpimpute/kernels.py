@@ -29,7 +29,9 @@ the exponents of every dimension and both kernels before one exponential:
     J_ij = prod_d (1 + 4 v_d / l_d^2)^(-1/2) * exp(-d2(W_i, W_j) / 2 - ||u_i + u_j||^2)
 
 with u = (m - W) / sqrt(2 (l^2 + 4 v)) and d2 the same scaled distance R is
-built from.
+built from: a caller that has d2 passes it to both :func:`build_correlation`
+(which overwrites it, so it gets a copy) and :func:`expect_kk_pairwise` (which
+only reads it), so the distance is computed once per W.
 """
 
 from __future__ import annotations
@@ -249,7 +251,8 @@ def expect_k(spec: KernelSpec, m, v, w) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def expect_kk_pairwise(spec: KernelSpec, m, v, W: np.ndarray) -> np.ndarray:
+def expect_kk_pairwise(spec: KernelSpec, m, v, W: np.ndarray,
+                       d2: np.ndarray | None = None) -> np.ndarray:
     """All-pairs version of :func:`expect_kk`: entry (i, j) is E[k(W0, W_i) k(W0, W_j)].
 
     ``W`` has shape (N, D); returns an (N, N) matrix. The product over dimensions
@@ -260,6 +263,9 @@ def expect_kk_pairwise(spec: KernelSpec, m, v, W: np.ndarray) -> np.ndarray:
         u = (m - W) / sqrt(2 (l^2 + 4 v)),
 
     with d2 = :func:`scaled_sq_dist`. Both terms are exactly symmetric, so J is.
+    ``d2``, when given, is ``scaled_sq_dist(spec, W, W)`` made by the caller, and
+    is only read: one d2 serves every query on the same W, and J is bitwise the
+    same either way.
     """
     m = np.atleast_1d(np.asarray(m, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
@@ -270,8 +276,7 @@ def expect_kk_pairwise(spec: KernelSpec, m, v, W: np.ndarray) -> np.ndarray:
     denom = l2 + 4.0 * v
     u = (m - W) / np.sqrt(2.0 * denom)
     # u_i - (-u_j) is u_i + u_j, bitwise symmetric in i, j
-    exponent = scaled_sq_dist(spec, W, W)
-    exponent *= -0.5
+    exponent = -0.5 * (scaled_sq_dist(spec, W, W) if d2 is None else d2)
     exponent -= _sum_sq_diffs(u, -u)
     J = np.exp(exponent, out=exponent)
     J *= np.prod(np.sqrt(l2 / denom))

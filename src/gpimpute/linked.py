@@ -18,9 +18,10 @@ u_i = (m - w_i) / sqrt(2 (l^2 + 4 v)). The trace term is computed as the
 elementwise sum of R^-1 * J, never as an explicit matrix product.
 
 :func:`propagate_moments` reads only the second layer's hyperparameters, its
-training latents w, alpha = R(w)^-1 y and R(w)^-1: the ensemble in ``dgp``
-keeps just alpha and R^-1 per draw, and :func:`link_predict` passes
-those of a fitted GP.
+training latents w, alpha = R(w)^-1 y and R(w)^-1, and optionally d2(w, w).
+The ensemble in ``dgp`` keeps none of these: each output prediction call builds
+d2, alpha and R^-1 per draw, propagates every query through them and drops
+them. :func:`link_predict` passes those of a fitted GP.
 """
 
 from __future__ import annotations
@@ -76,10 +77,12 @@ def _latent_predictions(first_layer: list[FittedGP],
 
 
 def propagate_moments(hyper: GPHyperparams, W: np.ndarray, alpha: np.ndarray,
-                      Rinv: np.ndarray, m: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+                      Rinv: np.ndarray, m: np.ndarray, v: np.ndarray,
+                      d2: np.ndarray | None = None) -> tuple[float, float]:
     """Push a Gaussian input N(m, diag(v)) through the posterior of a GP with
     hyperparameters ``hyper`` on training inputs W (N, P), given alpha = R^-1 y
-    and R^-1.
+    and R^-1. ``d2``, when given, is the ``scaled_sq_dist`` of W that R was
+    built from; it is only read (see :func:`kernels.expect_kk_pairwise`).
 
     Returns the exact mean/variance of the predictive mixture; the variance may
     be slightly negative in floating point (caller clamps). Applying this
@@ -87,7 +90,7 @@ def propagate_moments(hyper: GPHyperparams, W: np.ndarray, alpha: np.ndarray,
     """
     kernel = hyper.kernel
     I = expect_k(kernel, m, v, W)
-    J = expect_kk_pairwise(kernel, m, v, W)
+    J = expect_kk_pairwise(kernel, m, v, W, d2)
     mu = float(I @ alpha)
     var = (
         float(alpha @ J @ alpha)
@@ -98,9 +101,10 @@ def propagate_moments(hyper: GPHyperparams, W: np.ndarray, alpha: np.ndarray,
 
 
 def _propagated_gaussian(hyper: GPHyperparams, W: np.ndarray, alpha: np.ndarray,
-                         Rinv: np.ndarray, m: np.ndarray, v: np.ndarray) -> PredictiveGaussian:
+                         Rinv: np.ndarray, m: np.ndarray, v: np.ndarray,
+                         d2: np.ndarray | None = None) -> PredictiveGaussian:
     """:func:`propagate_moments` with a negative (round-off) variance clamped to 0."""
-    mu, var = propagate_moments(hyper, W, alpha, Rinv, m, v)
+    mu, var = propagate_moments(hyper, W, alpha, Rinv, m, v, d2)
     return PredictiveGaussian(mean=mu, variance=max(var, 0.0))
 
 

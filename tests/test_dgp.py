@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from gpimpute import dgp
+from gpimpute import dgp, kernels
 from gpimpute.data import (
     SyntheticConfig,
     generate_synthetic_window,
@@ -21,6 +21,7 @@ from gpimpute.dgp import (
     load_emulator,
     mix_components,
     predict_ensemble,
+    predict_output,
     save_emulator,
     train_sem,
 )
@@ -488,23 +489,27 @@ class TestTrainSEM:
                 impute_covariates(em, [0.2, bad], "sid")
             with pytest.raises(ValueError, match="finite"):
                 predict_ensemble(em, [bad])
+            with pytest.raises(ValueError, match="finite"):
+                predict_output(em, [0.2, 0.5, bad])
 
     def test_fully_observed_builds_one_second_layer(self, monkeypatch):
-        # a fully observed emulator's one draw is the data, so it has one
-        # second-layer GP whatever n_imputations says, and covariate imputation
-        # builds none
+        # a fully observed emulator's one draw is the data, so each output
+        # prediction call builds one second-layer R whatever n_imputations says,
+        # and covariate imputation builds none
         built = []
         real = dgp.build_correlation
         monkeypatch.setattr(dgp, "build_correlation",
-                            lambda spec, nugget, X: built.append(np.shape(X))
-                            or real(spec, nugget, X))
+                            lambda spec, nugget, X, d2=None: built.append(np.shape(X))
+                            or real(spec, nugget, X, d2))
         em = train_sem(make_window(seed=12), small_arch(),
                        replace(FAST_SEM, n_imputations=20), 5)
         n_second = lambda: sum(shape[1] == 3 for shape in built)  # noqa: E731
         impute_covariates(em, [0.2, 0.6], "sid")
         assert n_second() == 0
         preds = [predict_ensemble(em, [x]) for x in (0.3, 0.8)]
-        assert n_second() == 1
+        assert n_second() == 2
+        preds += predict_output(em, [0.1, 0.5, 0.9])
+        assert n_second() == 3
         assert all(len(p.components) == 1 for p in preds)
 
     def test_fully_observed_is_one_draw_of_the_data(self, tmp_path):
@@ -539,20 +544,46 @@ class TestTrainSEM:
                    for p in covariates)
 
     @pytest.mark.parametrize("masked", [True, False], ids=["masked", "fully-observed"])
-    def test_second_layer_keeps_alpha_and_inverse_per_distinct_draw(self, masked):
-        # one (alpha, R^-1) per draw, in draw order; every masked draw is distinct,
-        # and a fully observed emulator has one draw
+    def test_second_layer_distances_once_per_draw_per_call(self, masked, monkeypatch):
+        # each call computes one second-layer d2 per draw, in draw order, however
+        # many times it predicts; R is built from a copy of it and J reads it
         table = masked_window(seed=12) if masked else make_window(seed=12)
         em = train_sem(table, small_arch(), FAST_SEM, 5)
-        n = em.draws.shape[1]
-        layers = em.second_layer
-        assert type(layers) is list
-        assert len(layers) == len(em.draws) == (FAST_SEM.n_imputations if masked else 1)
-        assert len({draw.tobytes() for draw in em.draws}) == len(em.draws)
-        for entry in layers:
-            assert type(entry) is tuple and len(entry) == 2
-            assert all(type(a) is np.ndarray and a.dtype == float for a in entry)
-            assert [a.shape for a in entry] == [(n,), (n, n)]
+        assert len(em.draws) == (FAST_SEM.n_imputations if masked else 1)
+        seen = []
+        for module in (dgp, kernels):
+            real = module.scaled_sq_dist
+            monkeypatch.setattr(module, "scaled_sq_dist",
+                                lambda spec, A, B, real=real: seen.append(A)
+                                or real(spec, A, B))
+        second = lambda: [a for a in seen if np.shape(a)[1] == 3]  # noqa: E731
+        predict_ensemble(em, [0.4])
+        assert len(second()) == len(em.draws)
+        seen.clear()
+        predict_output(em, np.linspace(0.05, 0.95, 7))
+        assert [a.tobytes() for a in second()] == [draw.tobytes() for draw in em.draws]
+
+    @pytest.mark.parametrize("masked", [True, False], ids=["masked", "fully-observed"])
+    def test_prediction_adds_nothing_to_the_emulator(self, masked):
+        table = masked_window(seed=12) if masked else make_window(seed=12)
+        em = train_sem(table, small_arch(), FAST_SEM, 5)
+        before = dict(vars(em))
+        predict_ensemble(em, [0.4])
+        predict_output(em, [0.2, 0.6])
+        impute_covariates(em, [0.2, 0.6], "sid")
+        assert vars(em).keys() == before.keys()
+        assert all(vars(em)[k] is v for k, v in before.items())
+
+    @pytest.mark.parametrize("masked", [True, False], ids=["masked", "fully-observed"])
+    def test_predict_output_is_predict_ensemble_per_time(self, masked):
+        # the first layer is predicted one row at a time, so a batch is bitwise
+        # the single-point predictions
+        table = masked_window(seed=12) if masked else make_window(seed=12)
+        em = train_sem(table, small_arch(), FAST_SEM, 5)
+        times = np.linspace(0.0, 1.0, 11)
+        assert predict_output(em, times) == [predict_ensemble(em, [t]) for t in times]
+        assert predict_output(em, times[:, None]) == predict_output(em, times)
+        assert predict_output(em, []) == []
 
     @pytest.mark.parametrize("masked", [True, False], ids=["masked", "fully-observed"])
     def test_ensemble_is_the_per_fitted_gp_reference_bitwise(self, masked):
@@ -575,6 +606,7 @@ class TestTrainSEM:
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "short", "long"])
     def test_bad_train_y_refused_at_first_output_prediction(self, bad):
+        # nothing is kept between calls, so every output prediction refuses it
         em = train_sem(masked_window(seed=10), small_arch(), FAST_SEM, 3)
         y = em.train_y.copy()
         if bad == "nan":
@@ -585,8 +617,11 @@ class TestTrainSEM:
             y = y[:-1] if bad == "short" else np.append(y, 0.5)
         broken = replace(em, train_y=y)
         impute_covariates(broken, [0.3], "sid")  # reads no output
-        with pytest.raises(ValueError):
-            predict_ensemble(broken, [0.3])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="train_y"):
+                predict_ensemble(broken, [0.3])
+            with pytest.raises(ValueError, match="train_y"):
+                predict_output(broken, [0.3, 0.6])
 
     @pytest.mark.parametrize("masked", [True, False], ids=["masked", "fully-observed"])
     def test_components_match_per_draw_reference(self, masked):
@@ -643,6 +678,11 @@ class TestFrozenEmulator:
         with pytest.raises(TypeError):
             em.first_hyper[0] = em.first_hyper[1]
         assert predict_ensemble(em, [0.4]) == before
+
+    def test_emulator_without_draws_refused(self):
+        em = train_sem(masked_window(seed=10), small_arch(), FAST_SEM, 3)
+        with pytest.raises(ValueError, match="S >= 1"):
+            replace(em, draws=em.draws[:0])
 
     def test_kernel_spec_keeps_its_own_lengthscales(self):
         held = np.array([0.5, 2.0])  # an array its caller goes on writing to
@@ -710,6 +750,31 @@ class TestPersistence:
             draws[3, r, c] = 123.0
         np.save(path / "imputations.npy", draws)
         with pytest.raises(ValueError, match="imputations.npy"):
+            load_emulator(str(path))
+
+    @pytest.mark.parametrize("case", ["no-draws", "no-draws-anywhere", "one-fewer", "one-more"])
+    def test_draw_count_other_than_manifest_refused(self, tmp_path, case):
+        # imputations.npy cut to no draws under a manifest that reads 5 used to
+        # load, and its output and covariate predictions were NaN
+        _, path = self.saved(tmp_path)
+        draws = np.load(path / "imputations.npy")
+        if case == "no-draws-anywhere":
+            man = json.loads((path / "manifest.json").read_text())
+            man["n_imputations"] = 0
+            (path / "manifest.json").write_text(json.dumps(man))
+        draws = {"one-fewer": draws[:-1], "one-more": np.concatenate([draws, draws[:1]])}.get(
+            case, draws[:0])
+        np.save(path / "imputations.npy", draws)
+        with pytest.raises(ValueError, match=re.escape(str(path / "imputations.npy"))):
+            load_emulator(str(path))
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_n_train_other_than_training_rows_refused(self, tmp_path, delta):
+        _, path = self.saved(tmp_path)
+        man = json.loads((path / "manifest.json").read_text())
+        man["n_train"] += delta
+        (path / "manifest.json").write_text(json.dumps(man))
+        with pytest.raises(ValueError, match=re.escape(str(path / "training_inputs.npy"))):
             load_emulator(str(path))
 
     def test_training_outputs_of_other_length_refused(self, tmp_path):

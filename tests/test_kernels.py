@@ -130,6 +130,20 @@ class TestDistanceParity:
             want = np.exp(exponent) * np.prod(np.sqrt(l2 / denom))
             assert bitwise_equal(expect_kk_pairwise(spec, m, v, W), want)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_expect_kk_pairwise_reads_a_given_d2(self, d):
+        # a d2 made by the caller gives J bitwise, and is left as it was (a
+        # read-only d2 would raise on any write)
+        rng = np.random.default_rng(70 + d)
+        for spec, W, _ in self.cases(d, seed=80 + d):
+            m, v = rng.normal(0.0, 0.5, d), rng.uniform(0.0, 0.5, d)
+            d2 = kernels.scaled_sq_dist(spec, W, W)
+            held = d2.copy()
+            d2.flags.writeable = False
+            assert bitwise_equal(expect_kk_pairwise(spec, m, v, W, d2),
+                                 expect_kk_pairwise(spec, m, v, W))
+            assert bitwise_equal(d2, held)
+
     @pytest.mark.parametrize("bad", [[], [[1.0, 2.0]], [1.0, 0.0], [1.0, np.inf]],
                              ids=["empty", "2-D", "zero", "infinite"])
     def test_kernel_spec_refuses_lengthscales(self, bad):

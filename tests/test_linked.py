@@ -1,9 +1,24 @@
 import numpy as np
 import pytest
 
+from gpimpute.data import (
+    SyntheticConfig,
+    apply_mask,
+    generate_synthetic_window,
+    make_mask_plan,
+    standardise,
+)
+from gpimpute.dgp import predict_output, train_sem
+from gpimpute.experiment import ExperimentConfig, default_architecture
 from gpimpute.gp import GPHyperparams, make_fitted_gp, predict
 from gpimpute.kernels import KernelSpec, expect_k, expect_kk, expect_kk_pairwise
-from gpimpute.linked import LayerArchitecture, LinkedEmulator, link_predict, propagate_moments
+from gpimpute.linked import (
+    LayerArchitecture,
+    LinkedEmulator,
+    _latent_predictions,
+    link_predict,
+    propagate_moments,
+)
 
 
 def se_spec(*lengthscales):
@@ -237,4 +252,28 @@ class TestExtendedPrecisionOracle:
             assert ref_var > 0
             assert abs(mu - ref_mu) <= 1e-10 * abs(ref_mu) + 1e-14, f"case {case}"
             worst = max(worst, float(abs(var - ref_var) / ref_var))
+        assert worst <= self.VAR_REL_TOL
+
+    @pytest.mark.parametrize("rep", [0, 1, 2])
+    def test_trained_emulator_matches_longdouble_oracle(self, rep):
+        # an N = 80 emulator trained as the emulator-roundtrip benchmark's set-up
+        # trains its seed-0 emulators, each draw's components propagated through
+        # predict_output's shared-d2 path
+        def seed(k):
+            return int(np.random.SeedSequence([0, rep, k]).generate_state(1)[0])
+        config = SyntheticConfig(min_length=80, max_length=80)
+        truth = generate_synthetic_window(config, np.random.default_rng(seed(1))).table
+        plan = make_mask_plan(truth, 0.3, truth.covariate_names, seed(2))
+        table, _ = standardise(apply_mask(truth, plan))
+        em = train_sem(table, default_architecture(table), ExperimentConfig().sem, seed(3))
+        times = np.array([0.1, 0.5, 0.9])
+        worst = 0.0
+        for t, pred in zip(times, predict_output(em, times)):
+            means, variances = _latent_predictions(em.first_layer, np.array([[t]]))
+            for s, got in enumerate(pred.components):
+                ref_mu, ref_var = longdouble_moments(em.draws[s], em.train_y, em.second_hyper,
+                                                     means[0, :, s], variances[0])
+                assert ref_var > 0
+                assert abs(got.mean - ref_mu) <= 1e-10 * abs(ref_mu) + 1e-14
+                worst = max(worst, float(abs(got.variance - ref_var) / ref_var))
         assert worst <= self.VAR_REL_TOL
