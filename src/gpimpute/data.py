@@ -128,9 +128,13 @@ class RawTable:
 def _parse_time(token: str, line_no: int) -> float:
     token = token.strip()
     try:
-        return float(token)
+        hours = float(token)
     except ValueError:
         pass
+    else:
+        if not math.isfinite(hours):
+            raise ParseError(f"line {line_no}: non-finite time {token!r}")
+        return hours
     try:
         dt = datetime.fromisoformat(token)
     except ValueError:
@@ -139,7 +143,8 @@ def _parse_time(token: str, line_no: int) -> float:
 
 
 def ingest_csv(path, schema_config: dict) -> RawTable:
-    """Read `time,<var1>,<var2>,...` CSV; empty fields are missing.
+    """Read `time,<var1>,<var2>,...` CSV; empty fields, and `nan`, are missing.
+    A non-finite time or an infinite value is a ParseError naming its line.
 
     ``schema_config['columns']`` lists the variable columns expected in the file.
     Rows are sorted by time; duplicate timestamps are kept for aggregation.
@@ -174,9 +179,12 @@ def ingest_csv(path, schema_config: dict) -> RawTable:
                     vals.append(np.nan)
                 else:
                     try:
-                        vals.append(float(f))
+                        value = float(f)
                     except ValueError:
                         raise ParseError(f"line {line_no}: bad value {f!r} in column {c!r}") from None
+                    if math.isinf(value):
+                        raise ParseError(f"line {line_no}: infinite value {f!r} in column {c!r}")
+                    vals.append(value)
             rows.append(vals)
 
     times_arr = np.asarray(times, dtype=float)

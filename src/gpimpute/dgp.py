@@ -39,7 +39,7 @@ from .kernels import (
     chol_solve,
     scaled_sq_dist,
 )
-from .linked import LayerArchitecture, _latent_predictions, _propagated_gaussian
+from .linked import LayerArchitecture, _latent_predictions, propagate_moments
 
 ESS_BRACKET_MIN = 1e-12
 # What a fit can raise on data it cannot model; anything else is a programming error.
@@ -84,27 +84,23 @@ class EnsemblePrediction:
     components: list[PredictiveGaussian]
 
 
-def _mix_rows(means, variances) -> list[PredictiveGaussian]:
-    """The mixture of each row's S equally weighted Gaussians: means (M, S), and
-    variances (M, S) or one (M,) variance per row. A negative (round-off)
-    variance is clamped to 0."""
+def _ensembles(means, variances) -> list[EnsemblePrediction]:
+    """Row by row, the S equally weighted Gaussians of means (M, S) and variances
+    (M, S), or of one (M,) variance per row, as the components, and their mixture.
+    A negative (round-off) mixture variance is clamped to 0."""
     # a C-ordered row is reduced as one pairwise sum, as a 1-D array of S is
     means = np.ascontiguousarray(means, dtype=float)
     variances = np.asarray(variances, dtype=float)
-    if variances.ndim == 1:
-        variances = variances[:, None]
+    variances = np.broadcast_to(variances[:, None] if variances.ndim == 1 else variances,
+                                means.shape)
     mus = np.mean(means, axis=1).tolist()
     second = np.mean(means**2 + variances, axis=1).tolist()
     # mu**2 is Python's float power, as it has always been: numpy's square (x * x)
     # differs from it in the last bit for about 1 value in 1,200
-    return [PredictiveGaussian(mean=mu, variance=max(m2 - mu**2, 0.0))
-            for mu, m2 in zip(mus, second)]
-
-
-def mix_components(components: list[PredictiveGaussian]) -> EnsemblePrediction:
-    means = [[c.mean for c in components]]
-    variances = [[c.variance for c in components]]
-    return EnsemblePrediction(mixture=_mix_rows(means, variances)[0], components=components)
+    return [EnsemblePrediction(
+                mixture=PredictiveGaussian(mean=mu, variance=max(m2 - mu**2, 0.0)),
+                components=[PredictiveGaussian(mean=m, variance=v) for m, v in zip(row, var)])
+            for mu, m2, row, var in zip(mus, second, means.tolist(), variances.tolist())]
 
 
 def ess_update(prior_mean, prior_chol, current, loglik, rng,
@@ -473,7 +469,9 @@ def predict_output(em: DGPSIEmulator, query_times) -> list[EnsemblePrediction]:
     """Mixture of per-imputation linked-GP predictions of the output at each query
     time (M times, or an (M, D) array of global inputs).
 
-    Draw by draw, the second layer's scaled squared distances d2 of the draw are
+    The first layer is predicted for all M rows in one call per latent node,
+    bitwise what M one-row calls give (see :func:`gp.predict_batch`). Then, draw
+    by draw, the second layer's scaled squared distances d2 of the draw are
     computed once, R, alpha = R^-1 y and R^-1 are built from them, every query is
     propagated with the same d2 (J reads it), and all of them are dropped before
     the next draw; nothing is kept on the emulator. So the second layer is paid
@@ -486,31 +484,26 @@ def predict_output(em: DGPSIEmulator, query_times) -> list[EnsemblePrediction]:
         raise ValueError(f"train_y must be {n} finite outputs, one per training row")
     X0 = np.asarray(query_times, dtype=float)
     X0 = X0.reshape(-1, 1) if X0.ndim < 2 else X0
-    # the first layer one row at a time: a batched product rounds the latent means
-    # differently in the last bit, which the linked variance amplifies to ~1e-9
-    # relative, so each row gets the bits predict_ensemble gives it alone
-    latents = [_latent_predictions(em.first_layer, x[None, :]) for x in X0]  # (1, P, S), (1, P)
+    latent_means, latent_vars = _latent_predictions(em.first_layer, X0)  # (M, P, S), (M, P)
     hyper = em.second_hyper
-    rows = [[] for _ in latents]
+    means = np.empty((len(X0), len(em.draws)))
+    variances = np.empty_like(means)
     for s, draw in enumerate(em.draws):
         d2 = scaled_sq_dist(hyper.kernel, draw, draw)
         chol = build_correlation(hyper.kernel, hyper.nugget, draw, d2.copy()).chol
         alpha, Rinv = chol_solve(chol, y), chol_inverse(chol)
-        for (means, variances), row in zip(latents, rows):
-            row.append(_propagated_gaussian(hyper, draw, alpha, Rinv, means[0, :, s],
-                                            variances[0], d2))
-    shape = (len(rows), len(em.draws))  # (M, S), also when M is 0
-    mixtures = _mix_rows(np.reshape([[c.mean for c in row] for row in rows], shape),
-                         np.reshape([[c.variance for c in row] for row in rows], shape))
-    return [EnsemblePrediction(mixture=mixture, components=row)
-            for mixture, row in zip(mixtures, rows)]
+        for i, v in enumerate(latent_vars):
+            means[i, s], variances[i, s] = propagate_moments(
+                hyper, draw, alpha, Rinv, latent_means[i, :, s], v, d2)
+    return _ensembles(means, np.maximum(variances, 0.0))  # a round-off variance below 0 is 0
 
 
 def predict_ensemble(em: DGPSIEmulator, x0) -> EnsemblePrediction:
     """Mixture of per-imputation linked-GP predictions at one global input: the
-    one-row :func:`predict_output`. Each call builds the second layer of every
-    draw again, so a loop of these over one emulator repeats that work per point;
-    batch the points through :func:`predict_output` instead."""
+    one-row :func:`predict_output`, and bitwise that row of a batch. Each call
+    builds the second layer of every draw again, so a loop of these over one
+    emulator repeats that work per point; batch the points through
+    :func:`predict_output` instead."""
     return predict_output(em, np.atleast_1d(np.asarray(x0, dtype=float))[None, :])[0]
 
 
@@ -519,13 +512,7 @@ def impute_covariates(em: DGPSIEmulator, query_times, target: str) -> list[Ensem
     each query time."""
     idx = em.architecture.latent_index(target)
     qt = np.asarray(query_times, dtype=float).reshape(-1, 1)
-    means, variances = predict_batch(em.first_layer[idx], qt)  # (M, S), (M,)
-    return [
-        EnsemblePrediction(mixture=mixture,
-                           components=[PredictiveGaussian(mean=m, variance=var) for m in row])
-        for mixture, row, var in zip(_mix_rows(means, variances), means.tolist(),
-                                     variances.tolist())
-    ]
+    return _ensembles(*predict_batch(em.first_layer[idx], qt))  # (M, S) means, (M,) variances
 
 
 def _fixed_cells_agree(draws: np.ndarray, fixed: np.ndarray) -> bool:
@@ -586,23 +573,30 @@ def _load_array(directory: str, name: str, dtype, shape: tuple) -> np.ndarray:
 def load_emulator(directory: str) -> DGPSIEmulator:
     """Rebuild an emulator from :func:`save_emulator`'s files. An array of another
     dtype or shape, a non-finite value, or a fixed cell whose bits differ between
-    draws is a ``ValueError`` naming the file, as is a manifest without one
-    first-layer entry per latent node, each with one lengthscale per input column,
-    and one second-layer lengthscale per latent node, and training inputs or draws
-    whose count is not the manifest's ``n_train`` or ``n_imputations`` (at least
-    one draw). A directory in the older per-cell CSV layout raises
-    ``FileNotFoundError`` for ``training_inputs.npy``."""
+    draws is a ``ValueError`` naming the file, as is a manifest that is not JSON,
+    lacks a key or holds hyperparameters ``GPHyperparams`` or ``KernelSpec``
+    refuses, a manifest without one first-layer entry per latent node, each with
+    one lengthscale per input column, and one second-layer lengthscale per latent
+    node, and training inputs or draws whose count is not the manifest's
+    ``n_train`` or ``n_imputations`` (at least one draw). A directory in the older
+    per-cell CSV layout raises ``FileNotFoundError`` for ``training_inputs.npy``."""
     manifest_path = os.path.join(directory, "manifest.json")
     with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    arch = LayerArchitecture(tuple(manifest["latent_nodes"]), manifest["output_node"])
+        try:
+            manifest = json.load(fh)
+            arch = LayerArchitecture(tuple(manifest["latent_nodes"]), manifest["output_node"])
+            first_hyper = [_saved_hyper(e) for e in manifest["first_layer"]]
+            second_hyper = _saved_hyper(manifest["second_layer"])
+            n_train, n_imputations = manifest["n_train"], manifest["n_imputations"]
+        except KeyError as exc:
+            raise ValueError(f"{manifest_path}: missing key {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{manifest_path}: {exc}") from exc
     X = _load_array(directory, "training_inputs.npy", float, (None, None))
     n, p = X.shape[0], arch.n_latent
-    if n != manifest["n_train"]:
+    if n != n_train:
         raise ValueError(f"{os.path.join(directory, 'training_inputs.npy')}: {n} rows, but "
-                         f"{manifest_path} reads n_train {manifest['n_train']}")
-    first_hyper = [_saved_hyper(e) for e in manifest["first_layer"]]
-    second_hyper = _saved_hyper(manifest["second_layer"])
+                         f"{manifest_path} reads n_train {n_train}")
     first_dims = [len(h.kernel.lengthscales) for h in first_hyper]
     if first_dims != [X.shape[1]] * p or len(second_hyper.kernel.lengthscales) != p:
         raise ValueError(
@@ -611,10 +605,10 @@ def load_emulator(directory: str) -> DGPSIEmulator:
             f"{first_dims} and {len(second_hyper.kernel.lengthscales)}")
     y = _load_array(directory, "training_outputs.npy", float, (n,))
     draws = _load_array(directory, "imputations.npy", float, (None, n, p))
-    if len(draws) == 0 or len(draws) != manifest["n_imputations"]:
+    if len(draws) == 0 or len(draws) != n_imputations:
         raise ValueError(f"{os.path.join(directory, 'imputations.npy')}: {len(draws)} draws; "
                          f"expected at least 1, and the n_imputations of {manifest_path}, "
-                         f"{manifest['n_imputations']}")
+                         f"{n_imputations}")
     mask = _load_array(directory, "latent_mask.npy", bool, (n, p))
     if not _fixed_cells_agree(draws, mask):
         raise ValueError(f"{os.path.join(directory, 'imputations.npy')}: the value of each "

@@ -453,14 +453,20 @@ def _clamp_variance(var: np.ndarray) -> np.ndarray:
 def predict_batch(model: FittedGP, X0) -> tuple[np.ndarray, np.ndarray]:
     """Posterior predictive mean and variance at each row of X0: (M, S) means for
     a model on S output columns, and one (M,) variance, which does not depend on y.
-    A non-finite query row raises ValueError."""
+    A non-finite query row raises ValueError.
+
+    Each mean is summed over the N training rows in one order that does not
+    depend on M, S or the entry's place in the batch, so a batch is bitwise its
+    one-row calls and equal output columns give equal means."""
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     bad = ~np.all(np.isfinite(X0), axis=1)
     if np.any(bad):
         raise ValueError(f"query inputs must be finite; rows {np.flatnonzero(bad).tolist()} "
                          "are not")
     r = cross_correlation(model.hyper.kernel, X0, model.training.X)  # (M, N)
-    mean = r @ model.alpha
+    # not r @ alpha: BLAS rounds a row or column by where it sits in the product;
+    # einsum without optimize calls no BLAS
+    mean = np.einsum("mn,n...->m...", r, model.alpha)
     Rinv_r = model.corr.solve(r.T)  # (N, M)
     var = model.hyper.scale * (
         1.0 + model.hyper.nugget - np.sum(r * Rinv_r.T, axis=1)

@@ -18,10 +18,13 @@ u_i = (m - w_i) / sqrt(2 (l^2 + 4 v)). The trace term is computed as the
 elementwise sum of R^-1 * J, never as an explicit matrix product.
 
 :func:`propagate_moments` reads only the second layer's hyperparameters, its
-training latents w, alpha = R(w)^-1 y and R(w)^-1, and optionally d2(w, w).
-The ensemble in ``dgp`` keeps none of these: each output prediction call builds
-d2, alpha and R^-1 per draw, propagates every query through them and drops
-them. :func:`link_predict` passes those of a fitted GP.
+training latents w, alpha = R(w)^-1 y and R(w)^-1, and optionally d2(w, w),
+and returns the variance unclamped. The ensemble in ``dgp`` keeps none of
+these: each output prediction call predicts the first layer of all its queries
+in one :func:`_latent_predictions` call, builds d2, alpha and R^-1 per draw,
+propagates every query through them, drops them, and clamps the variances it
+collected at 0. :func:`link_predict` passes those of a fitted GP and clamps its
+one variance.
 """
 
 from __future__ import annotations
@@ -100,14 +103,6 @@ def propagate_moments(hyper: GPHyperparams, W: np.ndarray, alpha: np.ndarray,
     return mu, var
 
 
-def _propagated_gaussian(hyper: GPHyperparams, W: np.ndarray, alpha: np.ndarray,
-                         Rinv: np.ndarray, m: np.ndarray, v: np.ndarray,
-                         d2: np.ndarray | None = None) -> PredictiveGaussian:
-    """:func:`propagate_moments` with a negative (round-off) variance clamped to 0."""
-    mu, var = propagate_moments(hyper, W, alpha, Rinv, m, v, d2)
-    return PredictiveGaussian(mean=mu, variance=max(var, 0.0))
-
-
 def link_predict(em: LinkedEmulator, x0) -> PredictiveGaussian:
     """Propagated predictive distribution of the output at global input x0.
 
@@ -116,5 +111,6 @@ def link_predict(em: LinkedEmulator, x0) -> PredictiveGaussian:
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     means, variances = _latent_predictions(em.first_layer, x0[None, :])
     gp = em.second_layer
-    return _propagated_gaussian(gp.hyper, gp.training.X, gp.alpha, gp.corr.inverse(),
+    mu, var = propagate_moments(gp.hyper, gp.training.X, gp.alpha, gp.corr.inverse(),
                                 means[0], variances[0])
+    return PredictiveGaussian(mean=mu, variance=max(var, 0.0))  # round-off below 0 is 0

@@ -72,6 +72,27 @@ class TestIngest:
         with pytest.raises(ParseError, match="line 2"):
             ingest_csv(path, {"columns": ["ph"]})
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "Infinity"])
+    def test_non_finite_time_reports_line(self, tmp_path, token):
+        # a NaN time used to fail in discretise_hourly on converting it to int
+        path = write(tmp_path, f"time,ph\n0,7.4\n{token},7.3\n")
+        with pytest.raises(ParseError, match=f"line 3: non-finite time '{token}'"):
+            ingest_csv(path, {"columns": ["ph"]})
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "Infinity"])
+    def test_infinite_value_reports_line(self, tmp_path, token):
+        # it used to be written to the hourly table as an observed cell
+        path = write(tmp_path, f"time,ph,pco2\n0,7.4,40\n1,7.3,{token}\n")
+        with pytest.raises(ParseError, match=f"line 3: infinite value '{token}' in column 'pco2'"):
+            ingest_csv(path, {"columns": ["ph", "pco2"]})
+
+    def test_nan_value_is_missing(self, tmp_path):
+        path = write(tmp_path, "time,ph,pco2\n0,7.4,nan\n1,NaN,41\n")
+        raw = ingest_csv(path, {"columns": ["ph", "pco2"]})
+        assert np.isnan(raw.values).tolist() == [[False, True], [True, False]]
+        table = discretise_hourly(raw, ROLES)
+        assert table.mask.tolist() == [[True, False], [False, True]]
+
 
 class TestDiscretise:
     def test_bucket_means(self):

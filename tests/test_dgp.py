@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from gpimpute import dgp, kernels
+from gpimpute import dgp, kernels, linked
 from gpimpute.data import (
     SyntheticConfig,
     generate_synthetic_window,
@@ -16,10 +16,10 @@ from gpimpute.data import (
 from gpimpute.dgp import (
     LatentState,
     SEMConfig,
+    _ensembles,
     impute_covariates,
     impute_latents,
     load_emulator,
-    mix_components,
     predict_ensemble,
     predict_output,
     save_emulator,
@@ -48,8 +48,8 @@ from gpimpute.linked import (
     LayerArchitecture,
     LinkedEmulator,
     _latent_predictions,
-    _propagated_gaussian,
     link_predict,
+    propagate_moments,
 )
 
 
@@ -79,6 +79,11 @@ def masked_window(seed=0, proportion=0.3):
     table = make_window(seed)
     plan = make_mask_plan(table, proportion, table.covariate_names, seed=seed + 100)
     return apply_mask(table, plan)
+
+
+def mix_components(components: list[PredictiveGaussian]):
+    """The ensemble of one row of components, through :func:`dgp._ensembles`."""
+    return _ensembles([[c.mean for c in components]], [[c.variance for c in components]])[0]
 
 
 class TestMixComponents:
@@ -543,6 +548,25 @@ class TestTrainSEM:
         assert all(len(p.components) == 20 and len(set(p.components)) == 1
                    for p in covariates)
 
+    def test_identical_draws_give_bitwise_equal_components(self):
+        em = train_sem(masked_window(seed=12), small_arch(), FAST_SEM, 5)
+        repeated = replace(em, draws=np.repeat(em.draws[:1], 5, axis=0))
+        for x0 in ([0.15], [0.45], [0.9]):
+            components = predict_ensemble(repeated, x0).components
+            bits = np.array([[c.mean, c.variance] for c in components]).view(np.int64)
+            assert len(components) == 5 and (bits == bits[0]).all()
+
+    @pytest.mark.parametrize("m", [1, 2, 13, 46])
+    def test_first_layer_predicted_once_per_call(self, m, monkeypatch):
+        em = train_sem(masked_window(seed=12), small_arch(), FAST_SEM, 5)
+        calls = []
+        real = linked.predict_batch
+        monkeypatch.setattr(linked, "predict_batch",
+                            lambda model, X0: calls.append(len(X0)) or real(model, X0))
+        preds = predict_output(em, np.linspace(0.0, 1.0, m))
+        assert len(preds) == m
+        assert calls == [m] * em.architecture.n_latent
+
     @pytest.mark.parametrize("masked", [True, False], ids=["masked", "fully-observed"])
     def test_second_layer_distances_once_per_draw_per_call(self, masked, monkeypatch):
         # each call computes one second-layer d2 per draw, in draw order, however
@@ -576,8 +600,9 @@ class TestTrainSEM:
 
     @pytest.mark.parametrize("masked", [True, False], ids=["masked", "fully-observed"])
     def test_predict_output_is_predict_ensemble_per_time(self, masked):
-        # the first layer is predicted one row at a time, so a batch is bitwise
-        # the single-point predictions
+        # the first layer of a batch is predicted in one call whose rows are
+        # bitwise their one-row calls, so a batch is bitwise the single-point
+        # predictions
         table = masked_window(seed=12) if masked else make_window(seed=12)
         em = train_sem(table, small_arch(), FAST_SEM, 5)
         times = np.linspace(0.0, 1.0, 11)
@@ -597,9 +622,9 @@ class TestTrainSEM:
             components = []
             for s, draw in enumerate(em.draws):
                 gp = make_fitted_gp(draw, em.train_y, em.second_hyper)
-                components.append(_propagated_gaussian(
-                    gp.hyper, gp.training.X, gp.alpha, gp.corr.inverse(),
-                    means[0, :, s], variances[0]))
+                mu, var = propagate_moments(gp.hyper, gp.training.X, gp.alpha,
+                                            gp.corr.inverse(), means[0, :, s], variances[0])
+                components.append(PredictiveGaussian(mean=mu, variance=max(var, 0.0)))
             want = mix_components(components)
             assert got.components == want.components
             assert got.mixture == want.mixture
@@ -916,6 +941,30 @@ class TestPersistence:
             man["second_layer"]["lengthscales"] = man["second_layer"]["lengthscales"][:2]
         (path / "manifest.json").write_text(json.dumps(man))
         with pytest.raises(ValueError, match=re.escape(str(path / "manifest.json"))):
+            load_emulator(str(path))
+
+    @pytest.mark.parametrize("case", ["negative-scale", "nan-nugget", "zero-lengthscale",
+                                      "missing-scale", "missing-n_train"])
+    def test_bad_manifest_entry_names_the_manifest(self, tmp_path, case):
+        _, path = self.saved(tmp_path)
+        man = json.loads((path / "manifest.json").read_text())
+        if case == "negative-scale":
+            man["first_layer"][0]["scale"] = -1.0
+            message = "scale must be positive and finite"
+        elif case == "nan-nugget":
+            man["second_layer"]["nugget"] = float("nan")
+            message = "nugget must be non-negative and finite"
+        elif case == "zero-lengthscale":
+            man["first_layer"][1]["lengthscales"] = [0.0]
+            message = "lengthscales must be strictly positive and finite"
+        elif case == "missing-scale":
+            del man["second_layer"]["scale"]
+            message = "missing key 'scale'"
+        else:
+            del man["n_train"]
+            message = "missing key 'n_train'"
+        (path / "manifest.json").write_text(json.dumps(man))
+        with pytest.raises(ValueError, match=re.escape(f"{path / 'manifest.json'}: {message}")):
             load_emulator(str(path))
 
     def test_older_csv_layout_refused(self, tmp_path):

@@ -368,6 +368,33 @@ class TestOutputColumns:
             np.testing.assert_allclose(mean[:, s], m_s, rtol=0, atol=1e-12)
             np.testing.assert_allclose(var, v_s, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("s", [1, 3, 4, 5, 8, 20, 21])
+    @pytest.mark.parametrize("n", [19, 40, 80, 115])
+    def test_repeated_columns_give_bitwise_equal_means(self, n, s):
+        # a BLAS product rounds a column by where it sits in its blocks
+        rng = np.random.default_rng(n)
+        X = np.sort(rng.uniform(0, 1, (n, 1)), axis=0)
+        Y = np.repeat(rng.standard_normal((n, 1)), s, axis=1)
+        model = make_fitted_gp(X, Y, se_hyper(0.2, scale=1.3, nugget=1e-4))
+        for m in (1, 2, 13, 46):
+            mean, _ = predict_batch(model, rng.uniform(0, 1, (m, 1)))
+            bits = mean.view(np.int64)
+            assert (bits == bits[:, :1]).all(), (m, s)
+
+    @pytest.mark.parametrize("n", [19, 40, 80, 115])
+    def test_batch_is_bitwise_its_one_row_calls(self, n):
+        rng = np.random.default_rng(n)
+        X = np.sort(rng.uniform(0, 1, (n, 1)), axis=0)
+        for Y in (rng.standard_normal(n), rng.standard_normal((n, 5)),
+                  rng.standard_normal((n, 21))):
+            model = make_fitted_gp(X, Y, se_hyper(0.2, scale=1.3, nugget=1e-4))
+            for m in (2, 13, 46, 115):
+                X0 = rng.uniform(0, 1, (m, 1))
+                mean, var = predict_batch(model, X0)
+                rows = [predict_batch(model, x[None, :]) for x in X0]
+                assert mean.tobytes() == np.concatenate([r[0] for r in rows]).tobytes()
+                assert var.tobytes() == np.concatenate([r[1] for r in rows]).tobytes()
+
     @pytest.mark.parametrize("fit", [
         lambda X, y: fit_gp(X, y, FitConfig(n_starts=1)),
         lambda X, y: refit_gp(X, y, se_hyper(0.3, nugget=1e-4)),
