@@ -55,6 +55,8 @@ from . import __version__
 from .data import (
     ROLE_COVARIATE,
     ROLE_OUTPUT,
+    ParseError,
+    SchemaError,
     SyntheticConfig,
     discretise_hourly,
     generate_synthetic_window,
@@ -89,7 +91,10 @@ def _cmd_generate(args):
 
 def _cmd_preprocess(args):
     columns = args.columns.split(",")
-    raw = ingest_csv(args.input, {"columns": columns})
+    try:
+        raw = ingest_csv(args.input, {"columns": columns})
+    except (OSError, ParseError, SchemaError) as exc:
+        raise SystemExit(f"gpimpute preprocess: {args.input}: {exc}") from None
     roles = {c: ROLE_COVARIATE for c in columns}
     roles[args.output_column] = ROLE_OUTPUT
     table = discretise_hourly(raw, roles)
@@ -146,6 +151,8 @@ def _build_experiment_config(args) -> ExperimentConfig:
 def _cmd_run(args):
     try:
         config = _build_experiment_config(args)
+    except OSError as exc:
+        raise SystemExit(f"gpimpute run: cannot read config {args.config}: {exc}") from None
     except (TypeError, ValueError) as exc:
         raise SystemExit(f"gpimpute run: bad config: {exc}") from None
     report = run_experiment(config)
@@ -165,8 +172,12 @@ def _cmd_inspect(args):
     path = args.manifest
     if os.path.isdir(path):
         path = os.path.join(path, "manifest.json")
-    with open(path) as fh:
-        print(json.dumps(json.load(fh), indent=2, sort_keys=True))
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SystemExit(f"gpimpute inspect: {path}: {exc}") from None
+    print(json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def main(argv=None):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -139,6 +139,8 @@ def _parse_time(token: str, line_no: int) -> float:
         dt = datetime.fromisoformat(token)
     except ValueError:
         raise ParseError(f"line {line_no}: unparseable timestamp {token!r}") from None
+    if dt.tzinfo is None:  # naive: UTC, not the host's zone
+        dt = dt.replace(tzinfo=timezone.utc)
     return dt.timestamp() / 3600.0
 
 

@@ -18,7 +18,14 @@ terms of the latent columns a proposal does not change. Every Cholesky factor
 comes from :func:`_cholesky_with_jitter` and every solve against one from
 :func:`chol_solve`; both call LAPACK (``dpotrf``/``dpotrs``) directly, because
 the numpy and scipy wrappers cost more per call than the routine at the sizes
-SEM factors many thousands of times. :func:`chol_solve` and :func:`chol_inverse`
+SEM factors many thousands of times. ``lapack`` and ``blas`` are scipy's
+compiled ``scipy.linalg._flapack`` and ``_fblas`` modules, loaded from their
+files by :func:`_scipy_linalg_extension` (or taken from ``sys.modules`` when
+``scipy.linalg`` has loaded them): the ``scipy.linalg`` package imports scipy's
+array-API shim, which clones the numpy namespace and about 300 modules with
+it, and that cost every process about 23 MB of memory and 0.3 s of start-up
+for four routines. They are the very function objects ``scipy.linalg.lapack``
+and ``scipy.linalg.blas`` export. :func:`chol_solve` and :func:`chol_inverse`
 split their work into calls small enough that OpenBLAS runs them on the calling
 thread (see ``SERIAL_SOLVE_SIZE``). The closed-form expectations in :func:`expect_k` and
 :func:`expect_kk` are derived for this convention and are validated against
@@ -37,10 +44,37 @@ only reads it), so the distance is computed once per W.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib import machinery
 
 import numpy as np
-from scipy.linalg import blas, lapack
+import scipy
+
+
+def _scipy_linalg_extension(name: str):
+    """scipy's compiled ``scipy.linalg.<name>`` module, loaded from its file
+    without importing the ``scipy.linalg`` package."""
+    qualname = f"scipy.linalg.{name}"
+    if qualname in sys.modules:
+        return sys.modules[qualname]
+    directory = os.path.join(scipy.__path__[0], "linalg")
+    for suffix in machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, name + suffix)
+        if os.path.isfile(path):
+            loader = machinery.ExtensionFileLoader(qualname, path)
+            module = loader.create_module(machinery.ModuleSpec(qualname, loader, origin=path))
+            loader.exec_module(module)
+            # single-phase init registers the module; left there, a later
+            # `import scipy.linalg` would find it and never bind the attribute
+            sys.modules.pop(qualname, None)
+            return module
+    raise ImportError(f"no {name} extension module in {directory}")
+
+
+lapack = _scipy_linalg_extension("_flapack")
+blas = _scipy_linalg_extension("_fblas")
 
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4

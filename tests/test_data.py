@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import gpimpute
 from gpimpute.data import (
     DegenerateColumnError,
     EmptyWindowError,
@@ -45,6 +50,23 @@ class TestIngest:
         )
         raw = ingest_csv(path, {"columns": ["ph"]})
         assert raw.times_hours[1] - raw.times_hours[0] == pytest.approx(2.5)
+
+    def test_naive_timestamps_are_utc_whatever_the_host_zone(self, tmp_path):
+        # 02:00-03:00 does not exist in New York on 2024-03-10 (the DST change)
+        path = write(tmp_path, "time,ph\n2024-03-10T01:30:00,7.4\n2024-03-10T03:30:00,7.3\n")
+        code = ("from gpimpute.data import ingest_csv\n"
+                f"t = ingest_csv({path!r}, {{'columns': ['ph']}}).times_hours\n"
+                "print(t[1] - t[0])")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gpimpute.__file__)))
+        env = dict(os.environ, TZ="America/New_York", PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert float(proc.stdout) == 2.0
+
+    def test_aware_timestamps_keep_their_offset(self, tmp_path):
+        path = write(tmp_path, "time,ph\n2024-01-01T00:00:00Z,7.4\n2024-01-01T03:00:00+02:00,7.3\n")
+        raw = ingest_csv(path, {"columns": ["ph"]})
+        assert raw.times_hours[1] - raw.times_hours[0] == 1.0
 
     def test_sorts_by_time(self, tmp_path):
         path = write(tmp_path, "time,ph\n3,7.1\n1,7.2\n2,7.3\n")

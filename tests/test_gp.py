@@ -316,9 +316,11 @@ def scipy_modules_loaded_after(body: str, packages: tuple[str, ...]) -> list[str
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-# the optimizer and the squared distances are the package's own, so start-up
-# need not pay for importing scipy.optimize or scipy.spatial
-UNUSED_SCIPY = ("scipy.optimize", "scipy.spatial")
+# the optimizer and the squared distances are the package's own, and LAPACK/BLAS
+# come straight from scipy's compiled modules, so start-up need not pay for
+# importing scipy.optimize, scipy.spatial or the scipy.linalg package (with its
+# array-API shim)
+UNUSED_SCIPY = ("scipy.optimize", "scipy.spatial", "scipy.linalg", "scipy._lib._array_api")
 
 
 @pytest.mark.parametrize("package", UNUSED_SCIPY)
@@ -348,6 +350,29 @@ for e in (em, loaded):
     dgp.impute_covariates(e, [0.2, 0.6], "sid")
 """
     assert scipy_modules_loaded_after(body, UNUSED_SCIPY) == []
+
+
+@pytest.mark.parametrize("scipy_linalg_first", [False, True],
+                         ids=["gpimpute-first", "scipy-linalg-first"])
+def test_kernels_call_the_routines_scipy_linalg_exports(scipy_linalg_first):
+    # either import order gives one set of compiled routines, and scipy.linalg
+    # still binds its extension modules as attributes
+    import gpimpute
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gpimpute.__file__)))
+    imports = ["from gpimpute import kernels", "import scipy.linalg"]
+    if scipy_linalg_first:
+        imports.reverse()
+    code = "\n".join([f"import sys; sys.path.insert(0, {src!r})", *imports, """
+checks = {f: getattr(kernels.lapack, f) is getattr(scipy.linalg.lapack, f)
+          for f in ("dpotrf", "dpotrs", "dtrtri")}
+checks["dgemm"] = kernels.blas.dgemm is scipy.linalg.blas.dgemm
+checks["_flapack"] = scipy.linalg._flapack.dpotrf is kernels.lapack.dpotrf
+checks["_fblas"] = scipy.linalg._fblas.dgemm is kernels.blas.dgemm
+print(sorted(name for name, same in checks.items() if not same))"""])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestOutputColumns:

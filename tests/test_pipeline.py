@@ -522,6 +522,42 @@ class TestCLI:
         assert all(r["windows"] == [] for r in payload["results"])
         assert (out / "results.csv").read_text() == "window,method,proportion,mae\n"
 
+    def test_run_names_a_missing_config(self, tmp_path):
+        cfg_path = tmp_path / "missing.json"
+        out = tmp_path / "results"
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("run", "--config", str(cfg_path), "--out", str(out))
+        message = str(exc.value.code)
+        assert message.startswith("gpimpute run: ") and str(cfg_path) in message
+        assert "\n" not in message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, detail", [("time,ph\n0,7.4\n", "pco2"),
+                                              ("time,ph,pco2\nnoon,7.4,40\n", "line 2")],
+                             ids=["missing-column", "bad-time"])
+    def test_preprocess_names_a_bad_input(self, tmp_path, text, detail):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(text)
+        pre = tmp_path / "pre.csv"
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("preprocess", "--input", str(raw), "--columns", "ph,pco2",
+                         "--output-column", "ph", "--out", str(pre))
+        message = str(exc.value.code)
+        assert message.startswith(f"gpimpute preprocess: {raw}: ") and detail in message
+        assert "\n" not in message
+        assert not pre.exists()
+
+    @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "not-json"])
+    def test_inspect_names_a_bad_manifest(self, tmp_path, text):
+        path = tmp_path / "manifest.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("inspect", "--manifest", str(path))
+        message = str(exc.value.code)
+        assert message.startswith(f"gpimpute inspect: {path}: ")
+        assert "\n" not in message
+
     def test_generate_rejects_negative_seed(self, tmp_path):
         out = tmp_path / "windows"
         with pytest.raises(SystemExit) as exc:
