@@ -24,7 +24,7 @@ config: ``run --config report.json`` replays that run. The manifest's
     "fit": {"n_starts": 5, "seed": 0, "max_iter": 200,
             "lengthscale_range": [0.01, 10.0], "nugget_bounds": [1e-8, 1.0]},
     "sem": {"iterations": ..., "burn_in": ..., "ess_sweeps": ...,
-            "n_imputations": ..., "refit_max_iter": 25,
+            "n_imputations": ...,
             "fit": {... FitConfig fields, as in "fit" ...}},
     "mice": {"n_imputations": 5, "cycles": 10}
   }
@@ -55,8 +55,6 @@ from . import __version__
 from .data import (
     ROLE_COVARIATE,
     ROLE_OUTPUT,
-    ParseError,
-    SchemaError,
     SyntheticConfig,
     discretise_hourly,
     generate_synthetic_window,
@@ -91,14 +89,18 @@ def _cmd_generate(args):
 
 def _cmd_preprocess(args):
     columns = args.columns.split(",")
+    if args.output_column not in columns:
+        raise SystemExit(f"gpimpute preprocess: --output-column {args.output_column} is not "
+                         f"among --columns {args.columns}")
+    roles = {c: ROLE_OUTPUT if c == args.output_column else ROLE_COVARIATE for c in columns}
     try:
-        raw = ingest_csv(args.input, {"columns": columns})
-    except (OSError, ParseError, SchemaError) as exc:
+        table = discretise_hourly(ingest_csv(args.input, {"columns": columns}), roles)
+    except (OSError, ValueError) as exc:  # the data module's input errors are ValueErrors
         raise SystemExit(f"gpimpute preprocess: {args.input}: {exc}") from None
-    roles = {c: ROLE_COVARIATE for c in columns}
-    roles[args.output_column] = ROLE_OUTPUT
-    table = discretise_hourly(raw, roles)
-    _write_table_csv(table, args.out)
+    try:
+        _write_table_csv(table, args.out)
+    except OSError as exc:
+        raise SystemExit(f"gpimpute preprocess: {args.out}: {exc.strerror}") from None
     print(f"wrote {table.n} hourly rows to {args.out}")
 
 
@@ -164,7 +166,10 @@ def _cmd_run(args):
 
 
 def _cmd_report(args):
-    summary = aggregate_results_csv(args.results)
+    try:
+        summary = aggregate_results_csv(args.results)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"gpimpute report: {args.results}: {exc}") from None
     print(json.dumps(summary, indent=2, sort_keys=True))
 
 

@@ -56,20 +56,18 @@ class SEMError(RuntimeError):
 
 @dataclass(frozen=True)
 class SEMConfig:
-    """Stochastic-EM settings; defaults chosen for desk-scale runtime."""
+    """Stochastic-EM settings; defaults chosen for desk-scale runtime. The M-step is
+    one warm quasi-Newton (generalized-EM) step per node: it has no iteration budget."""
 
     iterations: int = 500
     burn_in: int = 300
     ess_sweeps: int = 10  # ESS sweeps per SEM iteration and between final draws
     n_imputations: int = 50  # draws taken when a latent is missing; data with none is one draw
-    refit_max_iter: int = 25
     fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
-        require_ints(self, "iterations", "burn_in", "ess_sweeps", "n_imputations",
-                     "refit_max_iter")
-        for name, low in (("burn_in", 0), ("ess_sweeps", 0), ("n_imputations", 1),
-                          ("refit_max_iter", 1)):
+        require_ints(self, "iterations", "burn_in", "ess_sweeps", "n_imputations")
+        for name, low in (("burn_in", 0), ("ess_sweeps", 0), ("n_imputations", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
         if self.iterations < self.burn_in:
@@ -356,7 +354,8 @@ def train_sem(
 ) -> DGPSIEmulator:
     """Fit the two-layer DGP by stochastic EM on rows where the output is observed.
 
-    Alternates ESS sweeps over missing latent entries with per-node ML refits;
+    Alternates ESS sweeps over missing latent entries with a generalized-EM M-step,
+    one warm quasi-Newton step per node that does not lower its likelihood; the
     final hyperparameters are the log-space average over post-burn-in iterations,
     then ``n_imputations`` latent draws populate the ensemble. With fully
     observed latents the E-step is a no-op: the result equals independent
@@ -395,10 +394,6 @@ def train_sem(
     def first_fit(p, obs):
         return fit_node(X[obs], latent_obs[obs, p], latent_names[p])
 
-    def refit_node(Xn, yn, init, hess_inv, name, it):
-        return guarded(f"refit failed at iteration {it}", name, refit_gp, Xn, yn, init,
-                       config.refit_max_iter, config.fit, hess_inv)
-
     if latent_mask.all():
         # E-step is a no-op: independent per-node ML fits, and the data is the one draw
         first_hyper = [first_fit(p, latent_mask[:, p]).hyper for p in range(P)]
@@ -411,57 +406,51 @@ def train_sem(
 
     # initial fill: per-column GP on observed entries, posterior mean at missing
     init_w = latent_obs.copy()
-    first_models = []
+    models = []  # each latent node's fit, then the output node's
     for p in range(P):
         obs = latent_mask[:, p]
         if obs.sum() < 2:
             raise SEMError(f"latent column {latent_names[p]!r} has fewer than 2 observed values")
         m = first_fit(p, obs)
-        first_models.append(m)
+        models.append(m)
         miss = ~obs
         if miss.any():
             mean, _ = predict_batch(m, X[miss])
             init_w[miss, p] = mean
-    second_model = fit_node(init_w, y, arch.output_node)
+    models.append(fit_node(init_w, y, arch.output_node))
 
     state = LatentState(
         X=X, y=y, latent_obs=latent_obs, latent_mask=latent_mask,
-        first_hyper=[m.hyper for m in first_models],
-        second_hyper=second_model.hyper,
+        first_hyper=[m.hyper for m in models[:P]],
+        second_hyper=models[P].hyper,
         initial_latents=init_w,
     )
 
-    first_trace: list[list[GPHyperparams]] = [[] for _ in range(P)]
-    second_trace: list[GPHyperparams] = []
+    nodes = [*latent_names, arch.output_node]
+    trace: list[list[GPHyperparams]] = [[] for _ in nodes]
     for it in range(config.iterations):
         for _ in range(config.ess_sweeps):
             state.sweep(rng)
-        # each node's refit starts from the curvature of that node's previous fit
-        first_models = [refit_node(X, state.w[:, p], state.first_hyper[p],
-                                   first_models[p].hess_inv, latent_names[p], it)
-                        for p in range(P)]
-        second_model = refit_node(state.w, y, state.second_hyper, second_model.hess_inv,
-                                  arch.output_node, it)
-        new_first = [m.hyper for m in first_models]
-        state.set_hyperparams(new_first, second_model.hyper)
+        # one projected-BFGS iteration per node from its last fit's hyperparameters and
+        # inverse Hessian: each latent node on time, then the output node on the latents
+        node_data = [(X, state.w[:, p]) for p in range(P)] + [(state.w, y)]
+        models = [guarded(f"refit failed at iteration {it}", name, refit_gp, Xn, yn, m.hyper, 1,
+                          config.fit, m.hess_inv)
+                  for name, (Xn, yn), m in zip(nodes, node_data, models)]
+        state.set_hyperparams([m.hyper for m in models[:P]], models[P].hyper)
         if it >= config.burn_in:
-            for p in range(P):
-                first_trace[p].append(new_first[p])
-            second_trace.append(second_model.hyper)
+            for t, m in zip(trace, models):
+                t.append(m.hyper)
 
-    if second_trace:
-        final_first = [_geometric_mean_hyper(first_trace[p]) for p in range(P)]
-        final_second = _geometric_mean_hyper(second_trace)
-    else:
-        final_first = list(state.first_hyper)
-        final_second = state.second_hyper
-    state.set_hyperparams(final_first, final_second)
+    final = ([_geometric_mean_hyper(t) for t in trace] if trace[P]
+             else [*state.first_hyper, state.second_hyper])
+    state.set_hyperparams(final[:P], final[P])
 
     draws = np.stack([impute_latents(state, rng, sweeps=config.ess_sweeps)
                       for _ in range(config.n_imputations)])
     return DGPSIEmulator(
-        architecture=arch, first_hyper=final_first, second_hyper=final_second,
-        draws=draws, latent_mask=latent_mask, rng_seed=seed, train_X=X, train_y=y,
+        architecture=arch, first_hyper=final[:P], second_hyper=final[P], draws=draws,
+        latent_mask=latent_mask, rng_seed=seed, train_X=X, train_y=y,
     )
 
 

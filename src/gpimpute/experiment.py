@@ -365,13 +365,17 @@ def write_report(report: EvaluationReport, out_dir: str):
 
 
 def aggregate_results_csv(path: str) -> dict:
-    """Re-aggregate a long-format results CSV into mean/SE per (method, proportion)."""
+    """Re-aggregate a long-format results CSV into mean/SE per (method, proportion).
+    A line that is not ``window,method,proportion,mae`` raises ValueError naming it."""
     rows: dict[tuple[str, float], list[float]] = {}
     with open(path) as fh:
-        next(fh)
-        for line in fh:
-            w, method, prop, mae = line.strip().split(",")
-            rows.setdefault((method, float(prop)), []).append(float(mae))
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                w, method, prop, mae = line.strip().split(",")
+                if lineno > 1:
+                    rows.setdefault((method, float(prop)), []).append(float(mae))
+            except ValueError:
+                raise ValueError(f"line {lineno}: expected window,method,proportion,mae") from None
     out = {}
     for (method, prop), maes in sorted(rows.items()):
         mean, se = _mean_se(maes)

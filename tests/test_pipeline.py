@@ -360,8 +360,7 @@ class TestRunExperiment:
             ExperimentConfig: dict(n_windows=2, seed=3),
             SyntheticConfig: dict(min_length=20, max_length=30),
             FitConfig: dict(n_starts=2, seed=0, max_iter=50),
-            SEMConfig: dict(iterations=4, burn_in=2, ess_sweeps=1, n_imputations=3,
-                            refit_max_iter=5),
+            SEMConfig: dict(iterations=4, burn_in=2, ess_sweeps=1, n_imputations=3),
             MICEConfig: dict(n_imputations=3, cycles=4, seed=1),
         }
         for cls, fields in int_fields.items():
@@ -533,8 +532,9 @@ class TestCLI:
         assert not out.exists()
 
     @pytest.mark.parametrize("text, detail", [("time,ph\n0,7.4\n", "pco2"),
-                                              ("time,ph,pco2\nnoon,7.4,40\n", "line 2")],
-                             ids=["missing-column", "bad-time"])
+                                              ("time,ph,pco2\nnoon,7.4,40\n", "line 2"),
+                                              ("time,ph,pco2\n", "no observations")],
+                             ids=["missing-column", "bad-time", "header-only"])
     def test_preprocess_names_a_bad_input(self, tmp_path, text, detail):
         raw = tmp_path / "raw.csv"
         raw.write_text(text)
@@ -546,6 +546,71 @@ class TestCLI:
         assert message.startswith(f"gpimpute preprocess: {raw}: ") and detail in message
         assert "\n" not in message
         assert not pre.exists()
+
+    def test_preprocess_names_an_output_column_not_among_the_columns(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("time,ph,pco2\n0,7.4,40\n1,7.3,41\n")
+        pre = tmp_path / "pre.csv"
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("preprocess", "--input", str(raw), "--columns", "ph,pco2",
+                         "--output-column", "lactate", "--out", str(pre))
+        message = str(exc.value.code)
+        assert message.startswith("gpimpute preprocess: ")
+        assert "lactate" in message and "ph,pco2" in message
+        assert "\n" not in message
+        assert not pre.exists()
+
+    def test_preprocess_names_an_out_path_it_cannot_write(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("time,ph,pco2\n0,7.4,40\n1,7.3,41\n")
+        pre = tmp_path / "missing" / "pre.csv"
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("preprocess", "--input", str(raw), "--columns", "ph,pco2",
+                         "--output-column", "ph", "--out", str(pre))
+        message = str(exc.value.code)
+        assert message.startswith(f"gpimpute preprocess: {pre}: ")
+        assert "\n" not in message
+
+    @pytest.mark.parametrize(
+        "text, detail",
+        [(None, "No such file"), ("window,method,proportion,mae\n0,gp,0.1\n", "line 2"),
+         ("window,method,proportion,mae\n0,gp,0.2,0.1\n1,gp,x,0.1\n", "line 3")],
+        ids=["missing", "short-line", "bad-proportion"])
+    def test_report_names_a_bad_results_file(self, tmp_path, text, detail):
+        path = tmp_path / "results.csv"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("report", "--results", str(path))
+        message = str(exc.value.code)
+        assert message.startswith(f"gpimpute report: {path}: ") and detail in message
+        assert "\n" not in message
+
+    def test_report_names_an_unreadable_results_file(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_bytes(b"window,method,proportion,mae\n\xff\xfe,gp,0.2,0.1\n")
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("report", "--results", str(path))
+        message = str(exc.value.code)
+        assert message.startswith(f"gpimpute report: {path}: ")
+        assert "\n" not in message
+
+    def test_run_refuses_the_removed_refit_max_iter(self, tmp_path):
+        # SEM's M-step is one quasi-Newton step, so the key is gone, from a config
+        # and from the manifest of an older report alike
+        from gpimpute import __version__
+
+        sem = {"refit_max_iter": 25}
+        (tmp_path / "config.json").write_text(json.dumps({"sem": sem}))
+        (tmp_path / "report.json").write_text(
+            json.dumps({"manifest": {"version": __version__, "sem": sem}}))
+        out = tmp_path / "results"
+        for name in ("config.json", "report.json"):
+            with pytest.raises(SystemExit) as exc:
+                self.run_cli("run", "--config", str(tmp_path / name), "--out", str(out))
+            assert str(exc.value.code) == ("gpimpute run: bad config: unknown config key(s) "
+                                           "in config.sem: refit_max_iter")
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "not-json"])
     def test_inspect_names_a_bad_manifest(self, tmp_path, text):
